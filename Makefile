@@ -34,9 +34,9 @@ bench:
 # The multi-flow benchmarks simulate N flows per iteration, so they get
 # their own (smaller) fixed iteration counts; benchjson merges each run
 # into the same "current" label without dropping the earlier entries.
-BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStepObsDisabled$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$
+BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStepObsDisabled$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$|BenchmarkMarkovSolve$$
 BENCH_JSON_MULTI_PATTERN = BenchmarkMultiFlow10$$|BenchmarkMultiFlow100$$
-BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkMultiFlow10,BenchmarkMultiFlow100
+BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkMarkovSolve/Wm8,BenchmarkMarkovSolve/Wm16,BenchmarkMarkovSolve/Wm48,BenchmarkMultiFlow10,BenchmarkMultiFlow100
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)' -benchmem \
@@ -63,15 +63,18 @@ fuzz:
 	$(GO) test ./internal/trace -fuzz FuzzDecodeJSONL -fuzztime 30s
 	$(GO) test ./internal/analysis -fuzz FuzzInferLossEvents -fuzztime 30s
 	$(GO) test ./internal/scenario -fuzz FuzzParseScenario -fuzztime 30s
+	$(GO) test ./internal/serve -fuzz FuzzPredictDecode -fuzztime 30s
 
 # Abbreviated fuzzing pass for CI: parsers fed attacker-controlled bytes
-# (the trace decoders and the scenario JSON parser, which rides inside
-# service requests) get 10 seconds each on every push.
+# (the trace decoders, the scenario JSON parser, which rides inside
+# service requests, and the /v1/predict decoder) get 10 seconds each on
+# every push.
 fuzz-ci:
 	$(GO) test ./internal/trace -fuzz FuzzDecode$$ -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzDecodeTcpdump -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzDecodeJSONL -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzParseScenario -fuzztime 10s
+	$(GO) test ./internal/serve -fuzz FuzzPredictDecode -fuzztime 10s
 
 # Regenerate every table and figure at the paper's campaign scale.
 experiments:

@@ -317,24 +317,33 @@ func QHatExact(p float64, w int) float64 {
 // Unlike QHatExact, w may be non-integral (the paper evaluates Q̂ at E[W]).
 // For w <= 3 it returns 1, matching eq. (22).
 func QHat(p float64, w float64) float64 {
+	if math.IsInf(w, 1) {
+		return 0
+	}
+	return QHatR(p, w, math.Pow(1-clampP(p), w))
+}
+
+// QHatR is QHat for a caller that already holds r = (1-p)^w, the
+// probability that a round of w packets is loss-free, as a Markov chain
+// over windows does. With (1-p)^{w-3} = r/(1-p)^3, eq. (24) needs no
+// further powers:
+//
+//	Q̂(w) = min(1, (1-(1-p)^3)·(1+(1-p)^3-r) / (1-r))
+func QHatR(p, w, r float64) float64 {
 	p = clampP(p)
 	if w <= 3 || math.IsNaN(w) {
 		return 1
 	}
-	if p == 0 || math.IsInf(w, 1) {
-		if math.IsInf(w, 1) {
-			return 0
-		}
+	if p == 0 {
 		return 3 / w
 	}
 	q := 1 - p
 	q3 := q * q * q
-	denom := 1 - math.Pow(q, w)
+	denom := 1 - r
 	if denom <= 0 {
 		return 1
 	}
-	v := (1 - q3) * (1 + q3*(1-math.Pow(q, w-3))) / denom
-	return math.Min(1, v)
+	return math.Min(1, (1-q3)*(1+q3-r)/denom)
 }
 
 // QHatApprox returns the paper's numerical approximation of Q̂ from

@@ -20,10 +20,22 @@
 //     independently with probability p; otherwise it is a TD indication
 //     and the window halves.
 //
-// The stationary distribution is found by power iteration; the send rate
-// follows from renewal-reward: B = E[packets per transition] / E[time per
-// transition]. Matching Fig. 12, its predictions nearly coincide with the
-// closed form of eq. (32).
+// The stationary distribution is solved exactly, in one O(Wm·b) pass with
+// no iteration and no tolerance. A loss-free round is the only transition
+// that moves a congestion-avoidance state up, and it moves it by one
+// index; TD halvings move down and timeouts leave for the backoff stages.
+// So across the cut below window w, the one upward flow — out of the last
+// credit state of window w-1 — balances the flow out of windows ≥ w:
+// their timeouts, and the TD halvings of windows w..2w-1, which land
+// below w. Both sides are sums of non-negative terms, so solving the
+// windows top-down never subtracts. The backoff stages follow from the
+// total timeout flow, and the send rate from renewal-reward:
+// B = E[packets per transition] / E[time per transition]. Matching
+// Fig. 12, its predictions nearly coincide with the closed form of
+// eq. (32).
+//
+// The state space holds Wm·b + MaxBackoff + 1 states; Validate caps Wm·b
+// at MaxStates, where a solve takes a few milliseconds.
 package markov
 
 import (
@@ -32,6 +44,13 @@ import (
 
 	"pftk/internal/core"
 )
+
+// MaxStates caps the congestion-avoidance state count Wm·B of a chain.
+const MaxStates = 1 << 16
+
+// maxBackoff caps Config.MaxBackoff: 2^64·T0 is already beyond any
+// retransmission timer, and the cap bounds the backoff stages allocated.
+const maxBackoff = 64
 
 // Config parameterizes the chain.
 type Config struct {
@@ -47,11 +66,6 @@ type Config struct {
 	// MaxBackoff caps the timeout doubling at 2^MaxBackoff; defaults to
 	// 6 (the 64·T0 cap of Section II-B).
 	MaxBackoff int
-	// Tol is the power-iteration convergence threshold on the L1 change
-	// of the stationary vector; defaults to 1e-12.
-	Tol float64
-	// MaxIter bounds power iteration; defaults to 100000.
-	MaxIter int
 }
 
 func (c Config) normalize() Config {
@@ -61,214 +75,240 @@ func (c Config) normalize() Config {
 	if c.MaxBackoff <= 0 {
 		c.MaxBackoff = 6
 	}
-	if c.Tol <= 0 {
-		c.Tol = 1e-12
-	}
-	if c.MaxIter <= 0 {
-		c.MaxIter = 100000
-	}
 	return c
 }
 
 // Validate reports whether the configuration is solvable.
 func (c Config) Validate() error {
-	if c.RTT <= 0 || math.IsNaN(c.RTT) {
-		return fmt.Errorf("markov: RTT must be positive, got %v", c.RTT)
+	c = c.normalize()
+	if !(c.RTT > 0) || math.IsInf(c.RTT, 1) {
+		return fmt.Errorf("markov: RTT must be positive and finite, got %v", c.RTT)
 	}
-	if c.T0 <= 0 || math.IsNaN(c.T0) {
-		return fmt.Errorf("markov: T0 must be positive, got %v", c.T0)
+	if !(c.T0 > 0) || math.IsInf(c.T0, 1) {
+		return fmt.Errorf("markov: T0 must be positive and finite, got %v", c.T0)
 	}
 	if c.Wm < 1 {
 		return fmt.Errorf("markov: Wm must be at least 1, got %d", c.Wm)
 	}
+	if c.Wm > MaxStates/c.B {
+		return fmt.Errorf("markov: Wm·B = %d·%d exceeds the %d-state cap", c.Wm, c.B, MaxStates)
+	}
+	if c.MaxBackoff > maxBackoff {
+		return fmt.Errorf("markov: MaxBackoff must be at most %d, got %d", maxBackoff, c.MaxBackoff)
+	}
 	return nil
 }
 
-// Chain is the assembled Markov chain for one loss rate.
+// Chain is the solved Markov chain for one loss rate. Within window w
+// every credit state shares the loss probability, so the chain keeps
+// per-window quantities and expands them to per-state ones on demand.
 type Chain struct {
 	cfg Config
 	p   float64
 
-	n      int // total states
-	caBase int // congestion-avoidance states start at index 0
-	toBase int // timeout states follow
+	// Per window, at index w-1:
+	r    []float64 // (1-p)^w, the probability of a loss-free round
+	q    []float64 // Q̂(w), the probability a loss indication is a timeout
+	mass []float64 // stationary mass of the window's B credit states
+	// to[k-1] is the stationary mass of backoff stage k.
+	to []float64
 
-	// next[i] lists transitions from state i.
-	next [][]transition
-	// rewardPkts[i] and rewardTime[i] are the expected packets sent and
-	// time spent on leaving state i.
-	rewardPkts []float64
-	rewardTime []float64
-
-	pi []float64 // stationary distribution
+	pi []float64 // per-state distribution, built by Stationary
 }
 
-type transition struct {
-	to   int
-	prob float64
-}
-
-// stateCA maps (w, c) to an index: w in 1..Wm, c in 0..b-1.
-func (ch *Chain) stateCA(w, c int) int {
-	return (w-1)*ch.cfg.B + c
-}
-
-// stateTO maps backoff stage k (1-based) to an index; stages beyond
-// MaxBackoff share the capped stage.
-func (ch *Chain) stateTO(k int) int {
-	if k > ch.cfg.MaxBackoff+1 {
-		k = ch.cfg.MaxBackoff + 1
-	}
-	return ch.toBase + (k - 1)
-}
-
-// New assembles the chain for loss rate p.
+// New assembles and solves the chain for loss rate p.
 func New(p float64, cfg Config) (*Chain, error) {
-	cfg = cfg.normalize()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if !(p > 0 && p < 1) {
 		return nil, fmt.Errorf("markov: p must be in (0,1), got %v", p)
 	}
-	ch := &Chain{cfg: cfg, p: p}
-	nCA := cfg.Wm * cfg.B
-	nTO := cfg.MaxBackoff + 1
-	ch.caBase = 0
-	ch.toBase = nCA
-	ch.n = nCA + nTO
-	ch.next = make([][]transition, ch.n)
-	ch.rewardPkts = make([]float64, ch.n)
-	ch.rewardTime = make([]float64, ch.n)
-	ch.build()
+	cfg = cfg.normalize()
+	wm := cfg.Wm
+	buf := make([]float64, 5*wm+cfg.MaxBackoff+1)
+	ch := &Chain{
+		cfg:  cfg,
+		p:    p,
+		r:    buf[:wm:wm],
+		q:    buf[wm : 2*wm : 2*wm],
+		mass: buf[2*wm : 3*wm : 3*wm],
+		to:   buf[5*wm:],
+	}
+	ch.solve(buf[3*wm:4*wm:4*wm], buf[4*wm:5*wm:5*wm])
 	return ch, nil
 }
 
-// build fills the transition and reward structures.
-func (ch *Chain) build() {
-	cfg := ch.cfg
-	p := ch.p
-	for w := 1; w <= cfg.Wm; w++ {
-		lossProb := 1 - math.Pow(1-p, float64(w))
-		q := core.QHat(p, float64(w)) // P[indication is a TO | loss]
-		for c := 0; c < cfg.B; c++ {
-			i := ch.stateCA(w, c)
-			// One round: w packets sent over one RTT. On a loss the
-			// round still transmits, on average, roughly the packets
-			// up to the loss plus the following round's shrunken
-			// window; the dominant term is w, which we use for both
-			// branches (the closed-form analysis makes the same
-			// simplification by counting E[Y] packets over E[X]+1
-			// rounds).
-			ch.rewardPkts[i] = float64(w)
-			ch.rewardTime[i] = cfg.RTT
-
-			// Loss-free branch: advance the credit; on wrap, grow.
-			nw, nc := w, c+1
-			if nc >= cfg.B {
-				nc = 0
-				if nw < cfg.Wm {
-					nw++
-				}
-			}
-			ch.add(i, ch.stateCA(nw, nc), 1-lossProb)
-
-			// TD branch: window halves (at least 1), credit resets.
-			half := w / 2
-			if half < 1 {
-				half = 1
-			}
-			ch.add(i, ch.stateCA(half, 0), lossProb*(1-q))
-
-			// TO branch: enter the first timeout stage.
-			ch.add(i, ch.stateTO(1), lossProb*q)
+// solve fills r, q, mass and to with the exact stationary distribution.
+//
+// Windows are solved top-down, starting from π(Wm, 0) = 1. Inside window
+// w only a loss-free round enters credit state c > 0, so
+// π(w, c) = π(w, 0)·r^c, the window's mass is π(w, 0)·Σ_{c<B} r^c, and
+// π(w, 0)·r^B climbs out of it. That climb balances the flow x down
+// across the cut below window w+1:
+//
+//	x = Σ_{v > w} mass(v)·ℓ(v)·Q̂(v) + Σ_{v=w+1}^{min(2w+1, Wm)} mass(v)·ℓ(v)·(1-Q̂(v))
+//
+// with ℓ = 1-r. The first sum is a running total. The second slides
+// down the windows, losing two terms at the top for each one it gains at
+// the bottom; instead of subtracting the terms it loses, it is kept as a
+// queue built from two stacks: windows enter a running sum (back), and
+// when the window's top end drops below them they are folded once into
+// prefix sums read from the top (front). Every window is folded once,
+// so the pass is O(Wm·B).
+//
+// At high loss π(w, 0) grows by up to (1-p)^{-wB} per window. The running
+// sums are kept in units of 2^e and rescaled when a new π(w, 0) would
+// exceed 2^256, which keeps sums of Wm·B terms far below overflow.
+// exp[i] records the units of mass[i] and td[i]; normalization brings
+// every value to the final units, where masses below the float range
+// become zero.
+func (ch *Chain) solve(exp, td []float64) {
+	wm, b, p := ch.cfg.Wm, ch.cfg.B, ch.p
+	e := 0
+	// toFlow and back are in units of 2^e; td[mid:] holds the front's
+	// prefix sums, in units of 2^frontE.
+	var toFlow, back, x float64
+	mid, frontE := wm, 0
+	lp := math.Log1p(-p)
+	for i := wm - 1; i >= 0; i-- {
+		w := float64(i + 1)
+		r := math.Exp(w * lp) // (1-p)^w
+		q := core.QHatR(p, w, r)
+		g, rb := 0.0, 1.0 // Σ_{c<B} r^c and r^B
+		for c := 0; c < b; c++ {
+			g += rb
+			rb *= r
 		}
+		bot := 1.0
+		switch {
+		case i == wm-1:
+		case rb == 0:
+			// The climb out of this window underflows: the windows above
+			// hold no mass in floating point. Shifting the units by more
+			// than the float range zeroes them.
+			e += 2200
+			toFlow, back = 0, 0
+		default:
+			bot = x / rb
+			if bot > 0x1p256 { // or +Inf
+				// Rescale the live sums so that bot is about 1.
+				xm, xe := math.Frexp(x)
+				rm, re := math.Frexp(rb)
+				k := xe - re
+				e += k
+				toFlow = math.Ldexp(toFlow, -k)
+				back = math.Ldexp(back, -k)
+				bot = xm / rm
+			}
+		}
+		m := bot * g
+		l := 1 - r
+		ch.r[i], ch.q[i], ch.mass[i], exp[i] = r, q, m, float64(e)
+		toFlow += m * l * q
+		td[i] = m * l * (1 - q)
+		if i == 0 {
+			break
+		}
+		// Flow down across the cut below this window: TD halvings of
+		// windows w..min(2w-1, Wm), at indices i..hi.
+		back += td[i]
+		hi := min(2*i, wm-1)
+		var front float64
+		if hi < mid {
+			// The front is spent: fold the in-window part of the back
+			// into prefix sums.
+			for j := i + 1; j <= hi; j++ {
+				td[j] = td[j-1] + inUnits(td[j], int(exp[j]), e)
+			}
+			front, back = td[hi], 0
+			mid, frontE = i, e
+		} else {
+			front = inUnits(td[hi], frontE, e)
+		}
+		x = toFlow + back + front
 	}
-	// Timeout stages: stage k waits min(2^(k-1), 2^MaxBackoff)·T0, sends
-	// one retransmission, which itself is lost with probability p.
-	for k := 1; k <= cfg.MaxBackoff+1; k++ {
-		i := ch.stateTO(k)
-		exp := k - 1
-		if exp > cfg.MaxBackoff {
-			exp = cfg.MaxBackoff
-		}
-		ch.rewardPkts[i] = 1
-		ch.rewardTime[i] = cfg.T0 * math.Pow(2, float64(exp))
-		// Success: leave timeout, restart at window 1 (slow start is
-		// not modeled, as in the paper).
-		ch.add(i, ch.stateCA(1, 0), 1-p)
-		// Failure: next backoff stage (capped).
-		ch.add(i, ch.stateTO(k+1), p)
+
+	// Backoff stage 1 receives every timeout; each later stage the failed
+	// retransmissions of the one before, and the last stage also its own.
+	k := len(ch.to)
+	ch.to[0] = toFlow
+	for j := 1; j < k-1; j++ {
+		ch.to[j] = ch.to[j-1] * p
+	}
+	ch.to[k-1] = ch.to[k-2] * p / (1 - p)
+
+	total := 0.0
+	for i := range ch.mass {
+		ch.mass[i] = inUnits(ch.mass[i], int(exp[i]), e)
+		total += ch.mass[i]
+	}
+	for _, v := range ch.to {
+		total += v
+	}
+	for i := range ch.mass {
+		ch.mass[i] /= total
+	}
+	for j := range ch.to {
+		ch.to[j] /= total
 	}
 }
 
-func (ch *Chain) add(from, to int, prob float64) {
-	if prob <= 0 {
-		return
+// inUnits converts v from units of 2^from to units of 2^to.
+func inUnits(v float64, from, to int) float64 {
+	if from == to {
+		return v
 	}
-	ch.next[from] = append(ch.next[from], transition{to: to, prob: prob})
+	return math.Ldexp(v, from-to)
+}
+
+// wait is the duration of backoff stage k (1-based):
+// T0·2^min(k-1, MaxBackoff).
+func (ch *Chain) wait(k int) float64 {
+	return math.Ldexp(ch.cfg.T0, min(k-1, ch.cfg.MaxBackoff))
 }
 
 // NumStates returns the size of the state space.
-func (ch *Chain) NumStates() int { return ch.n }
+func (ch *Chain) NumStates() int { return ch.cfg.Wm*ch.cfg.B + len(ch.to) }
 
-// Solve computes the stationary distribution by power iteration and
-// returns the number of iterations used.
-func (ch *Chain) Solve() int {
-	pi := make([]float64, ch.n)
-	for i := range pi {
-		pi[i] = 1 / float64(ch.n)
-	}
-	nxt := make([]float64, ch.n)
-	iters := 0
-	for ; iters < ch.cfg.MaxIter; iters++ {
-		for i := range nxt {
-			nxt[i] = 0
-		}
-		for i, ts := range ch.next {
-			if pi[i] == 0 {
-				continue
-			}
-			for _, t := range ts {
-				nxt[t.to] += pi[i] * t.prob
-			}
-		}
-		// Normalize to absorb numerical drift.
-		sum := 0.0
-		for _, v := range nxt {
-			sum += v
-		}
-		diff := 0.0
-		for i := range nxt {
-			nxt[i] /= sum
-			diff += math.Abs(nxt[i] - pi[i])
-		}
-		pi, nxt = nxt, pi
-		if diff < ch.cfg.Tol {
-			break
-		}
-	}
-	ch.pi = pi
-	return iters
-}
-
-// Stationary returns the stationary distribution (solving first if
-// needed). The returned slice is owned by the chain.
+// Stationary returns the stationary distribution over states: (w, c) at
+// index (w-1)·B + c, then backoff stage k at Wm·B + k-1. The returned
+// slice is owned by the chain.
 func (ch *Chain) Stationary() []float64 {
-	if ch.pi == nil {
-		ch.Solve()
+	if ch.pi != nil {
+		return ch.pi
 	}
+	b := ch.cfg.B
+	pi := make([]float64, 0, ch.NumStates())
+	for i, m := range ch.mass {
+		g, t := 0.0, 1.0
+		for c := 0; c < b; c++ {
+			g += t
+			t *= ch.r[i]
+		}
+		t = m / g
+		for c := 0; c < b; c++ {
+			pi = append(pi, t)
+			t *= ch.r[i]
+		}
+	}
+	ch.pi = append(pi, ch.to...)
 	return ch.pi
 }
 
 // SendRate returns the steady-state send rate in packets per second by
-// renewal reward over the stationary distribution.
+// renewal reward over the stationary distribution: a round of window w
+// sends w packets in one RTT, a backoff stage one packet in its wait.
 func (ch *Chain) SendRate() float64 {
-	pi := ch.Stationary()
-	var pkts, dur float64
-	for i, w := range pi {
-		pkts += w * ch.rewardPkts[i]
-		dur += w * ch.rewardTime[i]
+	var pkts, ca float64
+	for i, m := range ch.mass {
+		pkts += m * float64(i+1)
+		ca += m
+	}
+	dur := ca * ch.cfg.RTT
+	for j, m := range ch.to {
+		pkts += m
+		dur += m * ch.wait(j+1)
 	}
 	if dur == 0 {
 		return 0
@@ -276,60 +316,54 @@ func (ch *Chain) SendRate() float64 {
 	return pkts / dur
 }
 
+// timeWeights returns the stationary time spent in congestion avoidance
+// and in backoff, in seconds per transition.
+func (ch *Chain) timeWeights() (ca, to float64) {
+	for _, m := range ch.mass {
+		ca += m
+	}
+	for j, m := range ch.to {
+		to += m * ch.wait(j+1)
+	}
+	return ca * ch.cfg.RTT, to
+}
+
 // TimeoutFraction returns the stationary probability mass in timeout
 // states weighted by time — the fraction of wall-clock time spent waiting
 // out RTOs.
 func (ch *Chain) TimeoutFraction() float64 {
-	pi := ch.Stationary()
-	var toTime, total float64
-	for i, w := range pi {
-		t := w * ch.rewardTime[i]
-		total += t
-		if i >= ch.toBase {
-			toTime += t
-		}
-	}
-	if total == 0 {
+	ca, to := ch.timeWeights()
+	if ca+to == 0 {
 		return 0
 	}
-	return toTime / total
+	return to / (ca + to)
 }
 
 // MeanWindow returns the stationary mean congestion window over
 // congestion-avoidance states (timeout states count as window 1),
 // weighted by time.
 func (ch *Chain) MeanWindow() float64 {
-	pi := ch.Stationary()
-	var sum, total float64
-	for i, wgt := range pi {
-		t := wgt * ch.rewardTime[i]
-		total += t
-		if i < ch.toBase {
-			w := i/ch.cfg.B + 1
-			sum += t * float64(w)
-		} else {
-			sum += t * 1
-		}
-	}
-	if total == 0 {
+	ca, to := ch.timeWeights()
+	if ca+to == 0 {
 		return 0
 	}
-	return sum / total
+	sum := to
+	for i, m := range ch.mass {
+		sum += m * ch.cfg.RTT * float64(i+1)
+	}
+	return sum / (ca + to)
 }
 
 // LossMix returns the stationary fraction of loss indications that are
 // timeouts — the chain-level counterpart of the model's Q of eq. (26).
-// It weights each congestion-avoidance state's TD and TO exit
-// probabilities by the stationary flow through that state.
+// It weights each window's TD and TO exit probabilities by the
+// stationary mass of the window.
 func (ch *Chain) LossMix() float64 {
-	pi := ch.Stationary()
 	var td, to float64
-	for i := 0; i < ch.toBase; i++ {
-		w := i/ch.cfg.B + 1
-		lossProb := 1 - math.Pow(1-ch.p, float64(w))
-		q := core.QHat(ch.p, float64(w))
-		td += pi[i] * lossProb * (1 - q)
-		to += pi[i] * lossProb * q
+	for i, m := range ch.mass {
+		l := 1 - ch.r[i]
+		td += m * l * (1 - ch.q[i])
+		to += m * l * ch.q[i]
 	}
 	if td+to == 0 {
 		return 0

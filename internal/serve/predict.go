@@ -20,7 +20,7 @@ const (
 
 // defaultModels is what a request without an explicit model list gets:
 // every closed-form characterization. The Markov chain is opt-in — it
-// costs a power iteration rather than a formula evaluation.
+// costs a pass over its Wm·b states rather than a formula evaluation.
 var defaultModels = []string{ModelNameApprox, ModelNameFull, ModelNameTDOnly, ModelNameThroughput}
 
 // PredictRequest asks for model predictions at one (p, RTT, T0, Wm, b)
@@ -90,6 +90,12 @@ func (r PredictRequest) validate() error {
 			if r.Wm < 1 {
 				return fmt.Errorf("model %q needs wm >= 1 (the chain's state space is bounded by the advertised window)", m)
 			}
+			if math.Mod(r.Wm, 1) != 0 {
+				return fmt.Errorf("model %q needs an integer wm (the chain's windows are whole packets), got %v", m, r.Wm)
+			}
+			if r.Wm*float64(r.B) > markov.MaxStates {
+				return fmt.Errorf("model %q: wm·b = %v·%d exceeds the chain's %d-state cap", m, r.Wm, r.B, markov.MaxStates)
+			}
 			if !(r.P > 0 && r.P < 1) {
 				return fmt.Errorf("model %q needs p strictly inside (0, 1), got %v", m, r.P)
 			}
@@ -134,6 +140,11 @@ func predict(r PredictRequest) (PredictResponse, error) {
 				return PredictResponse{}, fmt.Errorf("markov: %w", err)
 			}
 			rates[m] = rate
+		}
+		// JSON has no NaN or Inf, and extreme inputs (rtt near the
+		// smallest float, say) drive the closed forms to either.
+		if v := rates[m]; math.IsNaN(v) || math.IsInf(v, 0) {
+			return PredictResponse{}, fmt.Errorf("model %q has no finite rate at this point, got %v", m, v)
 		}
 	}
 	return PredictResponse{Request: r, Rates: rates}, nil

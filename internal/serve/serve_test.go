@@ -117,6 +117,10 @@ func TestPredictBadRequests(t *testing.T) {
 		{"unknown model", `{"p":0.02,"rtt":0.2,"t0":2.0,"models":["mathis"]}`, "unknown model"},
 		{"markov without wm", `{"p":0.02,"rtt":0.2,"t0":2.0,"models":["markov"]}`, "needs wm"},
 		{"markov at p=0", `{"p":0,"rtt":0.2,"t0":2.0,"wm":8,"models":["markov"]}`, "strictly inside"},
+		{"markov with fractional wm", `{"p":0.02,"rtt":0.2,"t0":2.0,"wm":12.5,"models":["markov"]}`, "needs an integer wm"},
+		{"markov over the state cap", `{"p":0.02,"rtt":0.2,"t0":2.0,"wm":1e6,"models":["markov"]}`, "65536-state cap"},
+		{"markov wm·b over the state cap", `{"p":0.02,"rtt":0.2,"t0":2.0,"wm":20000,"b":4,"models":["markov"]}`, "65536-state cap"},
+		{"rate overflows", `{"p":0.5,"rtt":5e-324,"t0":5e-324}`, "no finite rate"},
 		{"empty batch", `{"requests":[]}`, "empty batch"},
 		{"oversized batch", `{"requests":[{},{},{},{},{}]}`, "exceeds limit"},
 		{"bad batch item", `{"requests":[{"p":0.02,"rtt":0.2,"t0":2.0},{"p":-1,"rtt":0.2,"t0":2.0}]}`, "request 1"},
@@ -131,6 +135,26 @@ func TestPredictBadRequests(t *testing.T) {
 				t.Errorf("body %q missing %q", rec.Body.String(), tc.wantInBody)
 			}
 		})
+	}
+}
+
+func TestPredictMarkovAtStateCap(t *testing.T) {
+	// wm·b at the cap is served; one window more is the named 400.
+	s, _ := newTestServer(t, Config{})
+	rec := postJSON(s, "/v1/predict", `{"p":0.001,"rtt":0.2,"t0":2.0,"wm":32768,"models":["markov"]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d, body %s", rec.Code, rec.Body)
+	}
+	var resp PredictResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if r := resp.Rates[ModelNameMarkov]; !(r > 0) || math.IsInf(r, 0) {
+		t.Errorf("markov rate at the cap = %v", r)
+	}
+	rec = postJSON(s, "/v1/predict", `{"p":0.001,"rtt":0.2,"t0":2.0,"wm":32769,"models":["markov"]}`)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "state cap") {
+		t.Errorf("one window over the cap: status %d, body %s", rec.Code, rec.Body)
 	}
 }
 
