@@ -31,12 +31,13 @@ bench:
 # the "current" label. The committed "pre" label is the seed baseline
 # this PR was measured against — do not overwrite it.
 #
-# The multi-flow benchmarks simulate N flows per iteration, so they get
-# their own (smaller) fixed iteration counts; benchjson merges each run
-# into the same "current" label without dropping the earlier entries.
+# The system benchmarks simulate N flows, or a whole simulated hour, per
+# iteration, so they get their own (smaller) fixed iteration counts;
+# benchjson merges each run into the same "current" label without
+# dropping the earlier entries.
 BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStepObsDisabled$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$|BenchmarkMarkovSolve$$
-BENCH_JSON_MULTI_PATTERN = BenchmarkMultiFlow10$$|BenchmarkMultiFlow100$$
-BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkMarkovSolve/Wm8,BenchmarkMarkovSolve/Wm16,BenchmarkMarkovSolve/Wm48,BenchmarkMultiFlow10,BenchmarkMultiFlow100
+BENCH_JSON_SYSTEM_PATTERN = BenchmarkMultiFlow10$$|BenchmarkMultiFlow100$$|BenchmarkRenoHourTrace$$
+BENCH_JSON_REQUIRE = BenchmarkSimulatedSecond,BenchmarkSimStepObsDisabled,BenchmarkLinkSend,BenchmarkTimerReset,BenchmarkTraceAppend,BenchmarkMarkovSolve/Wm8,BenchmarkMarkovSolve/Wm16,BenchmarkMarkovSolve/Wm48,BenchmarkMultiFlow10,BenchmarkMultiFlow100,BenchmarkRenoHourTrace
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)' -benchmem \
@@ -48,13 +49,27 @@ bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkMultiFlow100$$' -benchmem \
 		-benchtime 1000x -count 5 . \
 		| $(GO) run ./cmd/benchjson -o BENCH_sim.json -label current
+	$(GO) test -run '^$$' -bench 'BenchmarkRenoHourTrace$$' -benchmem \
+		-benchtime 20x -count 5 . \
+		| $(GO) run ./cmd/benchjson -o BENCH_sim.json -label current
 
 # CI smoke: a 10-iteration pass proves the benchmark suite still runs,
 # still reports allocations, and still parses into the baseline schema.
+# Then the allocation gate: every rung BENCH_sim.json records at
+# 0 allocs/op under "current" must still allocate nothing, measured at
+# the ledger's own -benchtime (at 10x, amortized arena and trace growth
+# still shows as a few allocs/op). BenchmarkMultiFlow100 records 5
+# allocs/op, so only its 10-flow sibling needs the second gate run.
 bench-json-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)|$(BENCH_JSON_MULTI_PATTERN)' -benchmem \
+	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)|$(BENCH_JSON_SYSTEM_PATTERN)' -benchmem \
 		-benchtime 10x ./... \
 		| $(GO) run ./cmd/benchjson -check -require '$(BENCH_JSON_REQUIRE)'
+	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)' -benchmem \
+		-benchtime 100000x ./... \
+		| $(GO) run ./cmd/benchjson -check -baseline BENCH_sim.json
+	$(GO) test -run '^$$' -bench 'BenchmarkMultiFlow10$$' -benchmem \
+		-benchtime 10000x . \
+		| $(GO) run ./cmd/benchjson -check -baseline BENCH_sim.json
 
 # Short fuzzing passes over every fuzz target.
 fuzz:

@@ -391,6 +391,26 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 	b.ReportMetric(float64(res.Stats.TotalSent())/float64(b.N), "pkts/simsec")
 }
 
+// BenchmarkRenoHourTrace runs one calibrated Table II connection
+// (manic-baskerville, Fig. 7(a)) for a simulated hour per iteration,
+// the unit of work the Table II campaign repeats 24 times. Its B/op is
+// almost all sender-side trace capture, so it witnesses how the trace
+// buffer grows; records/op pins the work each iteration does.
+func BenchmarkRenoHourTrace(b *testing.B) {
+	pair, ok := hosts.PairByName("manic-baskerville")
+	if !ok {
+		b.Fatal("pair manic-baskerville missing from Table II")
+	}
+	pair = hosts.CalibratedPair(pair, hosts.CalibrateOptions{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	var records int
+	for i := 0; i < b.N; i++ {
+		records = len(reno.RunConnection(pair.ConnConfig(1), 3600).Trace)
+	}
+	b.ReportMetric(float64(records), "records/op")
+}
+
 // benchMultiFlow measures one simulated second of an n-flow shared
 // bottleneck per iteration: the multi-flow engine's whole-system
 // throughput at the fairness experiments' operating point (20 pkts/s

@@ -15,6 +15,14 @@
 // which CI uses as a cheap smoke test that the benchmark suite still
 // runs and still reports allocations.
 //
+// With -check -baseline, benchjson also gates allocations: every parsed
+// benchmark that the baseline file records at 0 allocs/op under -label
+// must still report 0. Run the stream at the ledger's own fixed
+// -benchtime, since amortized growth rounds to zero only there:
+//
+//	go test -run '^$' -bench 'BenchmarkSimulatedSecond$' -benchmem \
+//	    -benchtime 100000x . | benchjson -check -baseline BENCH_sim.json
+//
 // The two flags compose: `-serve -check` validates a pftkload -json
 // report (successful traffic, latency quantiles present) and, with
 // -baseline, additionally requires the committed serving baseline file
@@ -147,13 +155,9 @@ func checkServeBaseline(path, require string, live *ServeResult, gateFrac float6
 	if path == "" {
 		return nil
 	}
-	data, err := os.ReadFile(path)
+	f, err := readFile(path)
 	if err != nil {
 		return err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("%s: not valid baseline JSON: %w", path, err)
 	}
 	for _, label := range strings.Split(require, ",") {
 		label = strings.TrimSpace(label)
@@ -185,6 +189,59 @@ func checkServeBaseline(path, require string, live *ServeResult, gateFrac float6
 		}
 	}
 	return nil
+}
+
+// checkZeroAllocs is the allocation gate against a committed
+// BENCH_sim.json: every live result whose entry under label records
+// 0 allocs/op must still report 0. Rungs absent from the live stream are
+// skipped, since the ledger records them at different fixed iteration
+// counts and one gate run covers one count; a stream that reaches no
+// 0-alloc rung at all is an error, not a vacuous pass. It returns the
+// names it checked.
+func checkZeroAllocs(path, label string, live map[string]*Result) ([]string, error) {
+	f, err := readFile(path)
+	if err != nil {
+		return nil, err
+	}
+	b := f.Baselines[label]
+	if b == nil {
+		return nil, fmt.Errorf("%s: no baseline labeled %q", path, label)
+	}
+	var checked, failed []string
+	for name, r := range live {
+		base, ok := b.Benchmarks[name]
+		if !ok || base.AllocsPerOp > 0 {
+			continue
+		}
+		checked = append(checked, name)
+		if r.AllocsPerOp > 0 {
+			failed = append(failed, fmt.Sprintf("%s (%g allocs/op)", name, r.AllocsPerOp))
+		}
+	}
+	sort.Strings(checked)
+	sort.Strings(failed)
+	if len(failed) > 0 {
+		return nil, fmt.Errorf("%s: rungs recorded at 0 allocs/op under %q now allocate: %s",
+			path, label, strings.Join(failed, ", "))
+	}
+	if len(checked) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark in the stream is recorded at 0 allocs/op under %q; the gate checked nothing",
+			path, label)
+	}
+	return checked, nil
+}
+
+// readFile loads a committed baseline file for the -check gates.
+func readFile(path string) (*File, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var f File
+	if err := json.Unmarshal(data, &f); err != nil {
+		return nil, fmt.Errorf("%s: not valid baseline JSON: %w", path, err)
+	}
+	return &f, nil
 }
 
 // File is the on-disk shape of BENCH_sim.json.
@@ -352,12 +409,12 @@ func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
 		outFile  = fs.String("o", "", "baseline file to merge into (default: print JSON to stdout)")
-		label    = fs.String("label", "current", "baseline label to record the results under")
+		label    = fs.String("label", "current", "baseline label to record the results under (with -check -baseline: the label to gate against)")
 		note     = fs.String("note", "", "free-text note stored with the baseline")
 		check    = fs.Bool("check", false, "validate the stream instead of recording it")
 		require  = fs.String("require", "", "comma-separated names that must be present (with -check): benchmark names, or baseline labels with -serve")
 		serve    = fs.Bool("serve", false, "read a pftkload -json report instead of go test -bench output (BENCH_serve.json)")
-		baseline = fs.String("baseline", "", "with -serve -check: committed baseline file that must hold the -require serve labels")
+		baseline = fs.String("baseline", "", "with -check: committed baseline file; with -serve it must hold the -require serve labels, otherwise every benchmark it records at 0 allocs/op under -label must still allocate nothing")
 		gateFrac = fs.Float64("gatefrac", 0, "with -serve -check -baseline: live run must reach this fraction of the committed throughput (and 1/frac of committed p99) for matching mode+concurrency labels; 0 disables")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -438,7 +495,16 @@ func run(args []string, in io.Reader, out io.Writer) error {
 				return err
 			}
 		}
-		return nil
+		if *baseline == "" {
+			return nil
+		}
+		checked, err := checkZeroAllocs(*baseline, *label, results)
+		if err != nil {
+			return err
+		}
+		_, err = fmt.Fprintf(out, "ok 0 allocs/op as recorded under %q in %s: %s\n",
+			*label, *baseline, strings.Join(checked, ", "))
+		return err
 	}
 
 	b := &Baseline{

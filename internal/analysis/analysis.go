@@ -217,40 +217,70 @@ func InferLossEvents(tr trace.Trace, dupThreshold int) []LossEvent {
 // retransmissions on the RTT estimates".
 func KarnRTTSamples(tr trace.Trace) []float64 {
 	var samples []float64
-	var (
-		timing   bool
-		timedSeq uint64
-		timedAt  float64
-		valid    bool
-	)
+	var k karnTimer
 	for _, r := range tr {
-		switch r.Kind {
-		case trace.KindSend:
-			if !timing {
-				timing = true
-				timedSeq = r.Seq
-				timedAt = r.Time
-				valid = true
-			}
-		case trace.KindRetransmit:
-			// Any retransmission voids the measurement in progress:
-			// a loss episode ahead of the timed segment would
-			// otherwise leak recovery time (including RTO waits)
-			// into the sample. This is the conservative reading of
-			// Karn's rule the paper applies.
-			if timing {
-				valid = false
-			}
-		case trace.KindAck:
-			if timing && r.Ack > timedSeq {
-				if valid {
-					samples = append(samples, r.Time-timedAt)
-				}
-				timing = false
-			}
+		if rtt, ok := k.observe(r); ok {
+			samples = append(samples, rtt)
 		}
 	}
 	return samples
+}
+
+// karnTimer is the timing state KarnRTTSamples walks a trace with, kept
+// as a value so a caller that only needs an aggregate can stream the
+// samples without collecting them.
+type karnTimer struct {
+	timing   bool
+	timedSeq uint64
+	timedAt  float64
+	valid    bool
+}
+
+// observe advances the timer over one record and returns the RTT sample
+// that record completes, if any.
+func (k *karnTimer) observe(r trace.Record) (float64, bool) {
+	switch r.Kind {
+	case trace.KindSend:
+		if !k.timing {
+			k.timing = true
+			k.timedSeq = r.Seq
+			k.timedAt = r.Time
+			k.valid = true
+		}
+	case trace.KindRetransmit:
+		// Any retransmission voids the measurement in progress: a loss
+		// episode ahead of the timed segment would otherwise leak
+		// recovery time (including RTO waits) into the sample. This is
+		// the conservative reading of Karn's rule the paper applies.
+		if k.timing {
+			k.valid = false
+		}
+	case trace.KindAck:
+		if k.timing && r.Ack > k.timedSeq {
+			k.timing = false
+			return r.Time - k.timedAt, k.valid
+		}
+	}
+	return 0, false
+}
+
+// meanKarnRTT is stats.Mean(KarnRTTSamples(tr)) without materializing the
+// samples: the same in-order sum divided by the count, so the result is
+// bit-identical. It returns 0 when the trace yields no sample.
+func meanKarnRTT(tr trace.Trace) float64 {
+	var k karnTimer
+	var sum float64
+	n := 0
+	for _, r := range tr {
+		if rtt, ok := k.observe(r); ok {
+			sum += rtt
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // Summary is one row of Table II.
@@ -327,9 +357,7 @@ func Summarize(tr trace.Trace, events []LossEvent) Summary {
 	if s.PacketsSent > 0 {
 		s.P = float64(s.LossIndications) / float64(s.PacketsSent)
 	}
-	if rtts := KarnRTTSamples(tr); len(rtts) > 0 {
-		s.MeanRTT = stats.Mean(rtts)
-	}
+	s.MeanRTT = meanKarnRTT(tr)
 	if t0s.N() > 0 {
 		s.MeanT0 = t0s.Mean()
 	}

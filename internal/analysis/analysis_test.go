@@ -8,6 +8,7 @@ import (
 	"pftk/internal/netem"
 	"pftk/internal/reno"
 	"pftk/internal/sim"
+	"pftk/internal/stats"
 	"pftk/internal/trace"
 )
 
@@ -318,6 +319,14 @@ func TestInferenceMatchesGroundTruthOnSimulatedTraces(t *testing.T) {
 		if seqDiff > 0.1*float64(gtSum.TimeoutSequences())+3 {
 			t.Errorf("drop=%g: inferred TO sequences %d vs ground truth %d",
 				drop, infSum.TimeoutSequences(), gtSum.TimeoutSequences())
+		}
+		// The streamed mean is the mean of the collected samples, bit
+		// for bit, and costs no allocation.
+		if want := stats.Mean(KarnRTTSamples(res.Trace)); math.Float64bits(gtSum.MeanRTT) != math.Float64bits(want) {
+			t.Errorf("drop=%g: MeanRTT %v, mean of Karn samples %v", drop, gtSum.MeanRTT, want)
+		}
+		if allocs := testing.AllocsPerRun(3, func() { Summarize(res.Trace, gt) }); allocs != 0 {
+			t.Errorf("drop=%g: Summarize allocates %.0f times, want 0", drop, allocs)
 		}
 		// RTT estimate should be near the configured 0.1 s path RTT.
 		if gtSum.MeanRTT < 0.09 || gtSum.MeanRTT > 0.2 {

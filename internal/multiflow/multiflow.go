@@ -248,6 +248,11 @@ func New(eng *sim.Engine, cfg Config) *Engine {
 		}
 		m.flows = append(m.flows, m.buildShared(i, spec, loss, sharedPath))
 	}
+	for _, f := range m.flows {
+		if f.conn != nil {
+			f.conn.Sender.SetTraceStop(m.cfg.Duration)
+		}
+	}
 	return m
 }
 

@@ -89,6 +89,7 @@ func (r Result) String() string {
 // of seconds, then freezes the connection and returns the results.
 func (c *Connection) Run(duration float64) Result {
 	start := c.Eng.Now()
+	c.Sender.SetTraceStop(start + duration)
 	c.Sender.Start()
 	c.Eng.RunUntil(start + duration)
 	c.Sender.Stop()
@@ -112,18 +113,21 @@ func RunConnection(cfg ConnConfig, duration float64) Result {
 // RunUntilComplete starts the sender and advances the simulation until a
 // finite transfer (SenderConfig.TotalPackets > 0) completes or the
 // deadline passes, returning the result and the completion time (the
-// deadline if it never completed).
+// deadline if it never completed). No event after the deadline fires: an
+// unfinished run leaves the clock at the deadline, so Result.Duration and
+// the completion time never exceed it. The deadline is a bound, not a
+// planned horizon, so trace growth is not sized from it.
 func (c *Connection) RunUntilComplete(deadline float64) (Result, float64) {
 	c.Sender.Start()
 	done := deadline
-	for c.Eng.Now() < deadline {
-		if !c.Eng.Step() {
-			break
-		}
+	for c.Eng.StepUntil(deadline) {
 		if c.Sender.Complete() {
 			done = c.Eng.Now()
 			break
 		}
+	}
+	if !c.Sender.Complete() {
+		c.Eng.RunUntil(deadline) // fires nothing: only advances the clock
 	}
 	c.Sender.Stop()
 	return Result{

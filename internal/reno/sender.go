@@ -136,6 +136,12 @@ type Sender struct {
 	closed bool
 }
 
+// initialTraceCap is the sender's first trace allocation: 768 records of
+// 40 bytes stay under 32 KiB, the largest small-object size class, where
+// 1024 would be a large object with its own zeroed span. Later growth is
+// sized from the record rate once the run's stop time is known.
+const initialTraceCap = 768
+
 // NewSender builds a saturated sender that transmits over forward and
 // whose ACKs arrive via OnAck. Wire the delivery side with SetDeliver (or
 // use NewConnection, which does it for you).
@@ -151,7 +157,7 @@ func NewSender(eng *sim.Engine, forward DataPath, cfg SenderConfig) *Sender {
 		cwnd:     cfg.InitialCwnd,
 		ssthresh: cfg.InitialSsthresh,
 		est:      NewRTOEstimator(cfg.MinRTO, cfg.MaxRTO, cfg.Tick),
-		trace:    trace.NewBuffer(1024),
+		trace:    trace.NewBuffer(initialTraceCap),
 	}
 	s.rtoTimer = eng.NewTimer(s.onTimeout)
 	return s
@@ -172,6 +178,11 @@ func (s *Sender) Stop() {
 		s.cfg.Metrics.TimerCancels.Inc()
 	}
 }
+
+// SetTraceStop tells the sender that its run ends at absolute engine
+// time t, so trace capture can size its growth from the record rate
+// instead of doubling.
+func (s *Sender) SetTraceStop(t float64) { s.trace.SetStop(t) }
 
 // Stats returns the ground-truth counters.
 func (s *Sender) Stats() SenderStats { return s.stats }

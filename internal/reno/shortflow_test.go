@@ -67,6 +67,56 @@ func TestTransferTimeDeadline(t *testing.T) {
 	}
 }
 
+// TestRunUntilCompleteStopsAtDeadline: an unfinished transfer fires no
+// event past its deadline, so the run's span and completion time are the
+// deadline itself, not the time of the first event after it.
+func TestRunUntilCompleteStopsAtDeadline(t *testing.T) {
+	cfg := ConnConfig{
+		Sender: SenderConfig{RWnd: 16, TotalPackets: 1000},
+		Path:   netem.SymmetricPath(0.05, nil),
+	}
+	for _, deadline := range []float64{0.13, 0.5, 1.01} {
+		var eng sim.Engine
+		c := NewConnection(&eng, cfg)
+		res, done := c.RunUntilComplete(deadline)
+		if c.Sender.Complete() {
+			t.Fatalf("deadline %g: 1000 packets completed; the case needs an unfinished transfer", deadline)
+		}
+		if res.Duration != deadline || done != deadline || eng.Now() != deadline {
+			t.Errorf("deadline %g: Duration %g, completion %g, clock %g; want all at the deadline",
+				deadline, res.Duration, done, eng.Now())
+		}
+		if got := TransferTime(cfg, 1000, deadline); got > deadline {
+			t.Errorf("deadline %g: TransferTime %g exceeds it", deadline, got)
+		}
+	}
+	// A transfer whose completing ACK lands just after the deadline has
+	// not completed by it.
+	full := TransferTime(cfg, 10, 60)
+	if got := TransferTime(cfg, 10, full-0.001); got > full-0.001 {
+		t.Errorf("TransferTime %g exceeds deadline %g (completes at %g)", got, full-0.001, full)
+	}
+}
+
+// TestFiniteTransferTraceDoublesOnly: a transfer's deadline bounds the
+// run but does not predict its length, so trace growth stays plain
+// doubling rather than being sized to a 3600-s horizon the transfer
+// never reaches.
+func TestFiniteTransferTraceDoublesOnly(t *testing.T) {
+	cfg := ConnConfig{
+		Sender: SenderConfig{RWnd: 32, MinRTO: 1, TotalPackets: 5000},
+		Path:   netem.SymmetricPath(0.05, netem.NewBernoulli(0.02, sim.NewRNG(5))),
+	}
+	var eng sim.Engine
+	res, done := NewConnection(&eng, cfg).RunUntilComplete(3600)
+	if done >= 3600 {
+		t.Fatal("transfer did not complete")
+	}
+	if n, c := len(res.Trace), cap(res.Trace); c > 2*n {
+		t.Errorf("trace cap %d for %d records, want at most 2x", c, n)
+	}
+}
+
 // TestShortFlowModelTracksSimulator validates the short-flow latency
 // extension: the model's expected completion time must track the mean
 // simulated completion time across flow sizes and loss rates.

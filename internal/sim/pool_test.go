@@ -269,12 +269,26 @@ func (o *oracleEngine) step() bool {
 	return true
 }
 
+// checkLengths compares the engine's explicit heap length with the
+// oracle's queue depth, and requires every arena slot to be either
+// queued or on the free list.
+func checkLengths(t *testing.T, op int, e *Engine, oracle int) {
+	t.Helper()
+	if e.Pending() != oracle {
+		t.Fatalf("op %d: pending %d vs oracle %d", op, e.Pending(), oracle)
+	}
+	if e.nheap+e.nfree != len(e.slots) {
+		t.Fatalf("op %d: %d queued + %d free != %d slots", op, e.nheap, e.nfree, len(e.slots))
+	}
+}
+
 // TestRandomizedScheduleCancelSoakVsOracle drives the pooled engine and
 // the container/heap oracle through the same long pseudo-random sequence
 // of schedule / cancel / step operations — including cancels through
 // stale handles whose slots have been recycled — and requires identical
-// fire order, identical cancel outcomes, and identical clocks throughout.
-// Coarsely quantized fire times force frequent ties so the seq tiebreak
+// fire order, identical cancel outcomes, and identical clocks throughout,
+// with the engine's explicit heap length matching the oracle's queue
+// depth after every operation, the final drain included. Coarsely quantized fire times force frequent ties so the seq tiebreak
 // is exercised across recycling.
 func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 	rng := NewRNG(0xdecade)
@@ -301,7 +315,7 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 			handles = append(handles, pair{ev, oe})
 		case op < 8: // cancel a random handle, possibly stale
 			if len(handles) == 0 {
-				continue
+				break
 			}
 			p := handles[rng.Intn(len(handles))]
 			cp, co := e.Cancel(p.ev), o.cancel(p.oe)
@@ -314,14 +328,13 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 				t.Fatalf("op %d: Step disagreement: pooled=%v oracle=%v", i, se, so)
 			}
 		}
-		if e.Pending() != len(o.heap) {
-			t.Fatalf("op %d: pending %d vs oracle %d", i, e.Pending(), len(o.heap))
-		}
+		checkLengths(t, i, &e, len(o.heap))
 	}
 	for e.Step() {
 		if !o.step() {
 			t.Fatal("oracle drained before pooled engine")
 		}
+		checkLengths(t, ops, &e, len(o.heap))
 	}
 	if o.step() {
 		t.Fatal("pooled engine drained before oracle")

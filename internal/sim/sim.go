@@ -19,6 +19,12 @@
 // per-Push pointer churn. The property is pinned by
 // TestScheduleStepSteadyStateZeroAlloc and the BenchmarkSim* suite.
 //
+// The heap and the free list are backing arrays with explicit lengths
+// that grow only at capacity. Popping, removing and recycling change an
+// integer length and never re-store a slice header, so they trigger no
+// GC write barrier; the only pointer stores left on the hot path are the
+// callback fields of a slot being filled or recycled.
+//
 // # Handle safety
 //
 // Schedule returns a value-type Event handle carrying the slot index and a
@@ -100,9 +106,11 @@ type Hooks struct {
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
 	now     float64
-	heap    []node  // 4-ary min-heap of (at, seq, slot) triples
+	heap    []node  // backing array; heap[:nheap] is the 4-ary min-heap of (at, seq, slot) triples
+	nheap   int     // live heap length
 	slots   []slot  // event arena; grows to the peak queue depth
-	free    []int32 // recycled slot indices (LIFO)
+	free    []int32 // backing array; free[:nfree] are recycled slot indices (LIFO)
+	nfree   int     // live free-list length
 	nextSeq uint64
 	stopped bool
 	fired   uint64
@@ -132,7 +140,7 @@ func (e *Engine) Now() float64 { return e.now }
 func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.nheap }
 
 // PoolSize returns the number of arena slots ever allocated — the
 // steady-state working set (peak concurrent events), not the total event
@@ -194,9 +202,9 @@ func (e *Engine) schedule(at float64, fn func(), pktFn func(pkt.Packet), p pkt.P
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
 	}
 	var id int32
-	if n := len(e.free); n > 0 {
-		id = e.free[n-1]
-		e.free = e.free[:n-1]
+	if e.nfree > 0 {
+		e.nfree--
+		id = e.free[e.nfree]
 	} else {
 		//pftklint:ignore hotalloc arena growth is amortized; the free list makes steady state allocation-free
 		e.slots = append(e.slots, slot{})
@@ -208,14 +216,17 @@ func (e *Engine) schedule(at float64, fn func(), pktFn func(pkt.Packet), p pkt.P
 	s.pkt = p
 	seq := e.nextSeq
 	e.nextSeq++
-	//pftklint:ignore hotalloc heap growth is amortized; capacity tracks the peak queue depth
-	e.heap = append(e.heap, node{at: at, seq: seq, id: id})
-	e.siftUp(len(e.heap) - 1)
+	if e.nheap == len(e.heap) {
+		e.heap = grownFull(e.heap)
+	}
+	e.heap[e.nheap] = node{at: at, seq: seq, id: id}
+	e.nheap++
+	e.siftUp(e.nheap - 1)
 	if e.flight != nil {
 		e.flight.Note(FlightSchedule, e.now, at, seq, "")
 	}
 	if e.hooks.Scheduled != nil {
-		e.hooks.Scheduled(at, len(e.heap))
+		e.hooks.Scheduled(at, e.nheap)
 	}
 	return Event{id: id + 1, gen: s.gen}
 }
@@ -261,8 +272,15 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step fires the next event, if any, and reports whether one fired.
 //
 //pftk:hotpath
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+func (e *Engine) Step() bool { return e.StepUntil(math.Inf(1)) }
+
+// StepUntil fires the next event only if it is due at or before
+// deadline, and reports whether one fired. Unlike Step, it never moves
+// the clock past deadline.
+//
+//pftk:hotpath
+func (e *Engine) StepUntil(deadline float64) bool {
+	if e.nheap == 0 || e.heap[0].at > deadline {
 		return false
 	}
 	top := e.popMin()
@@ -282,7 +300,7 @@ func (e *Engine) Step() bool {
 		pktFn(p)
 	}
 	if e.hooks.EventFired != nil {
-		e.hooks.EventFired(e.now, len(e.heap))
+		e.hooks.EventFired(e.now, e.nheap)
 	}
 	return true
 }
@@ -294,11 +312,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) RunUntil(deadline float64) uint64 {
 	start := e.fired
 	e.stopped = false
-	for !e.stopped {
-		if len(e.heap) == 0 || e.heap[0].at > deadline {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.StepUntil(deadline) {
 	}
 	if !e.stopped && e.now < deadline {
 		e.now = deadline
@@ -329,8 +343,20 @@ func (e *Engine) recycle(id int32) {
 	s.fn = nil
 	s.pktFn = nil
 	s.heapIdx = -1
-	//pftklint:ignore hotalloc free-list growth is amortized and bounded by the arena size
-	e.free = append(e.free, id)
+	if e.nfree == len(e.free) {
+		e.free = grownFull(e.free)
+	}
+	e.free[e.nfree] = id
+	e.nfree++
+}
+
+// grownFull returns a copy of the full backing array a with room for at
+// least one more element, resliced to its whole capacity (cold path:
+// callers track their live length separately and grow only at capacity).
+func grownFull[T any](a []T) []T {
+	var zero T
+	a = append(a, zero)
+	return a[:cap(a)]
 }
 
 // --- monomorphic 4-ary heap ---
@@ -344,7 +370,7 @@ func (e *Engine) recycle(id int32) {
 // siftUp moves the node at index i toward the root until its parent is
 // not greater.
 func (e *Engine) siftUp(i int) {
-	h := e.heap
+	h := e.heap[:e.nheap]
 	n := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -362,7 +388,7 @@ func (e *Engine) siftUp(i int) {
 // siftDown moves the node at index i toward the leaves until no child is
 // smaller.
 func (e *Engine) siftDown(i int) {
-	h := e.heap
+	h := e.heap[:e.nheap]
 	n := h[i]
 	for {
 		c := (i << 2) + 1
@@ -390,17 +416,15 @@ func (e *Engine) siftDown(i int) {
 	e.slots[n.id].heapIdx = int32(i)
 }
 
-// popMin removes and returns the root node.
+// popMin removes and returns the root node. Only the heap length
+// changes; the node left past it is dead and overwritten by the next push.
 func (e *Engine) popMin() node {
 	h := e.heap
 	top := h[0]
-	last := len(h) - 1
-	if last > 0 {
+	e.nheap--
+	if last := e.nheap; last > 0 {
 		h[0] = h[last]
-		e.heap = h[:last]
 		e.siftDown(0)
-	} else {
-		e.heap = h[:0]
 	}
 	e.slots[top.id].heapIdx = -1
 	return top
@@ -409,18 +433,15 @@ func (e *Engine) popMin() node {
 // removeAt deletes the node at heap index i (used by Cancel).
 func (e *Engine) removeAt(i int) {
 	h := e.heap
-	last := len(h) - 1
 	removed := h[i].id
-	if i < last {
+	e.nheap--
+	if last := e.nheap; i < last {
 		moved := h[last]
 		h[i] = moved
-		e.heap = h[:last]
 		e.siftDown(i)
 		if e.slots[moved.id].heapIdx == int32(i) {
 			e.siftUp(i)
 		}
-	} else {
-		e.heap = h[:last]
 	}
 	e.slots[removed].heapIdx = -1
 }

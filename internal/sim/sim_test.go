@@ -173,6 +173,23 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
+// TestStepUntil: the bounded step fires only events due at or before
+// its deadline and never moves the clock past it.
+func TestStepUntil(t *testing.T) {
+	var e Engine
+	e.Schedule(1, func() {})
+	e.Schedule(2, func() {})
+	if !e.StepUntil(1) || e.Now() != 1 {
+		t.Fatalf("event at the deadline did not fire (clock %g)", e.Now())
+	}
+	if e.StepUntil(1.5) || e.Now() != 1 || e.Pending() != 1 {
+		t.Fatalf("event past the deadline fired (clock %g, pending %d)", e.Now(), e.Pending())
+	}
+	if !e.StepUntil(2) || e.StepUntil(100) {
+		t.Fatal("StepUntil disagrees with the queue")
+	}
+}
+
 func TestStop(t *testing.T) {
 	var e Engine
 	count := 0

@@ -1,6 +1,9 @@
 package trace
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestBufferAppendAndRecords(t *testing.T) {
 	b := NewBuffer(4)
@@ -41,6 +44,79 @@ func TestBufferReset(t *testing.T) {
 	}
 	if cap(b.recs) != c {
 		t.Errorf("Reset dropped capacity: %d -> %d", c, cap(b.recs))
+	}
+}
+
+// growthLog appends n records at a constant rate (one every dt seconds
+// from t=0) to a fresh 768-record buffer with the given stop time, and
+// returns the buffer and the number of reallocations.
+func growthLog(n int, dt, stop float64) (*Buffer, int) {
+	b := NewBuffer(768)
+	b.SetStop(stop)
+	grows := 0
+	for i := 0; i < n; i++ {
+		c := cap(b.recs)
+		b.Append(Record{Time: float64(i) * dt, Kind: KindSend, Seq: uint64(i)})
+		if cap(b.recs) != c {
+			grows++
+		}
+	}
+	return b, grows
+}
+
+// TestBufferStopSizedGrowth: with a known stop time, a stationary record
+// stream reaches its final size in a few steps and ends with little
+// slack, and the records are exactly those captured without a stop time.
+func TestBufferStopSizedGrowth(t *testing.T) {
+	for _, n := range []int{769, 5000, 100000, 720000} {
+		const dt = 0.005
+		stop := float64(n) * dt
+		b, grows := growthLog(n, dt, stop)
+		if grows > 3 {
+			t.Errorf("n=%d: grew %d times, want at most 3", n, grows)
+		}
+		if limit := len(b.recs) + len(b.recs)/4 + 768; cap(b.recs) > limit {
+			t.Errorf("n=%d: cap %d > 1.25*len + 768 = %d", n, cap(b.recs), limit)
+		}
+		plain, _ := growthLog(n, dt, 0)
+		if len(plain.recs) != len(b.recs) {
+			t.Fatalf("n=%d: %d records with stop time, %d without", n, len(b.recs), len(plain.recs))
+		}
+		for i := range b.recs {
+			if b.recs[i] != plain.recs[i] {
+				t.Fatalf("n=%d: record %d differs: %v vs %v", n, i, b.recs[i], plain.recs[i])
+			}
+		}
+	}
+}
+
+// TestBufferUnusableStopDoubles: a stop time that is unset, already
+// passed when the buffer first fills (the 769th record arrives at
+// 7.68 s) or not finite leaves growth at plain doubling.
+func TestBufferUnusableStopDoubles(t *testing.T) {
+	const n, dt = 10000, 0.01
+	want, _ := growthLog(n, dt, 0)
+	for _, stop := range []float64{0, -5, 5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		b, _ := growthLog(n, dt, stop)
+		if cap(b.recs) != cap(want.recs) {
+			t.Errorf("stop=%g: cap %d, want doubling's %d", stop, cap(b.recs), cap(want.recs))
+		}
+	}
+	if c := cap(want.recs); c != 12288 {
+		t.Errorf("doubling from 768 to hold %d records: cap %d, want 12288", n, c)
+	}
+}
+
+// TestBufferStopNoElapsedTime: records that all share one timestamp give
+// no rate to project from, so growth doubles.
+func TestBufferStopNoElapsedTime(t *testing.T) {
+	b := NewBuffer(4)
+	b.SetStop(100)
+	for i := 0; i < 5; i++ {
+		b.Append(Record{Time: 1, Kind: KindSend})
+	}
+	if cap(b.recs) != 256 {
+		t.Errorf("cap = %d, want the 256-record minimum", cap(b.recs))
 	}
 }
 
