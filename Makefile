@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-json-smoke bench-serve-json bench-serve-json-smoke serve-scale-smoke chaos-smoke fuzz fuzz-ci experiments examples fmt fmtcheck vet lint lint-baseline invariants obs-smoke serve-smoke trace-smoke scenario-smoke scenario-golden check clean
+.PHONY: all build test test-short race cover bench bench-json bench-json-smoke bench-serve-json bench-serve-json-smoke serve-scale-smoke chaos-smoke fuzz fuzz-ci experiments examples fmt fmtcheck vet lint lint-baseline invariants obs-smoke serve-smoke trace-smoke scenario-smoke scenario-golden calibrate check clean
 
 all: build test
 
@@ -313,6 +313,12 @@ scenario-golden:
 	$(GO) run ./cmd/traceanal -interval 100 /tmp/outage-golden.pftk \
 		> examples/scenarios/outage.golden
 	rm -f /tmp/outage-golden.pftk
+
+# Refit every known pair's drop process (internal/hosts/fittedtable.go)
+# and regenerate the fit report in EXPERIMENTS.md after a change that
+# moves the fits; go test ./internal/hosts fails until this is run.
+calibrate:
+	$(GO) test ./internal/hosts -run '^TestFittedTable$$' -update -count=1
 
 # Umbrella gate: everything CI runs.
 check: build vet fmtcheck lint test race invariants obs-smoke serve-smoke serve-scale-smoke trace-smoke scenario-smoke chaos-smoke bench-serve-json-smoke

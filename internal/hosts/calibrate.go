@@ -99,6 +99,54 @@ func (p Pair) Calibrate(o CalibrateOptions) Pair {
 	return cal
 }
 
+// fit is one committed calibration: the fitted drop-start rate and
+// outage duration of the known pair with the given name.
+type fit struct {
+	name               string
+	dropRate, burstDur float64
+}
+
+// knownPairs returns every pair definition with a committed fit: the 24
+// Table II pairs, then the two Fig. 8 pairs without a Table II row.
+func knownPairs() []Pair {
+	pairs := TableII()
+	for _, p := range Fig8Pairs() {
+		if _, ok := PairByName(p.Name()); !ok {
+			pairs = append(pairs, p)
+		}
+	}
+	return pairs
+}
+
+// fittedPairs maps each known pair definition, compared field for
+// field, to its fit under the default options, from the generated
+// fittedTable.
+var fittedPairs = indexFits(fittedTable)
+
+func indexFits(table []fit) map[Pair]Pair {
+	fits := make(map[string]fit, len(table))
+	for _, f := range table {
+		fits[f.name] = f
+	}
+	out := make(map[Pair]Pair, len(table))
+	for _, p := range knownPairs() {
+		if f, ok := fits[p.Name()]; ok {
+			cal := p
+			cal.DropRate, cal.BurstDurOverride = f.dropRate, f.burstDur
+			out[p] = cal
+		}
+	}
+	return out
+}
+
+// calKey identifies one memoized calibration: the whole pair value and
+// the normalized options, so neither a same-named variant of a pair nor
+// a different option set can be answered with another call's fit.
+type calKey struct {
+	pair Pair
+	opts CalibrateOptions
+}
+
 // calEntry is one memoized calibration. Entries are stored in the cache
 // by pointer — a calEntry contains a sync.Once and must never be copied
 // (the mutexcopy analyzer enforces this repo-wide).
@@ -114,28 +162,40 @@ var (
 	// same-pair callers still share a single calibration.
 	calMu sync.Mutex
 	//pftk:guardedby calMu
-	calCache = map[string]*calEntry{}
+	calCache = map[calKey]*calEntry{}
 )
 
-// CalibratedPair returns the pair fitted to its published loss rate,
-// memoizing the (deterministic) result per pair name so campaigns do not
-// repeat the probe runs. It is safe for concurrent use.
+// CalibratedPair returns the pair fitted to its published loss rate.
+// For a known pair definition (see knownPairs) under options that
+// normalize to the defaults, it returns the committed fit, which equals
+// p.Calibrate(o) bit for bit. Any other call runs Calibrate once per
+// pair value and option set and memoizes the (deterministic) result, so
+// campaigns do not repeat the probe runs. It is safe for concurrent use.
 func CalibratedPair(p Pair, o CalibrateOptions) Pair {
+	o = o.normalize()
+	if o == (CalibrateOptions{}).normalize() {
+		if cal, ok := fittedPairs[p]; ok {
+			return cal
+		}
+	}
+	k := calKey{p, o}
 	calMu.Lock()
-	e, ok := calCache[p.Name()]
+	e, ok := calCache[k]
 	if !ok {
 		e = &calEntry{}
-		calCache[p.Name()] = e
+		calCache[k] = e
 	}
 	calMu.Unlock()
 	e.once.Do(func() { e.pair = p.Calibrate(o) })
 	return e.pair
 }
 
-// ResetCalibrationCache drops every memoized calibration. It exists for
-// tests that need a cold cache; production campaigns never call it.
+// ResetCalibrationCache drops every memoized calibration. It never
+// touches the committed fit table, so known pairs under the default
+// options stay answered from it. It exists for tests that need a cold
+// memo; production campaigns never call it.
 func ResetCalibrationCache() {
 	calMu.Lock()
 	defer calMu.Unlock()
-	calCache = map[string]*calEntry{}
+	calCache = map[calKey]*calEntry{}
 }

@@ -10,13 +10,14 @@ import (
 // cache's locking discipline and is expected to run under
 // `go test -race ./internal/hosts`. Every caller must observe exactly
 // the same calibrated pair, and the probe runs must happen once per
-// pair, not once per caller.
+// pair, not once per caller. The options are not the defaults, so the
+// committed fit table never answers and every call reaches the memo.
 func TestCalibratedPairConcurrent(t *testing.T) {
 	ResetCalibrationCache()
 	t.Cleanup(ResetCalibrationCache)
 
 	names := []string{"babel-tove", "manic-sutton", "void-sutton"}
-	opts := CalibrateOptions{Iterations: 1, ProbeDuration: 60}
+	opts := nonDefaultOptions(t)
 
 	pairs := make([]Pair, len(names))
 	for i, n := range names {
@@ -49,8 +50,8 @@ func TestCalibratedPairConcurrent(t *testing.T) {
 
 	for i, name := range names {
 		first := results[i][0]
-		if first.DropRate <= 0 {
-			t.Errorf("%s: calibrated drop rate %g must be positive", name, first.DropRate)
+		if want := pairs[i].Calibrate(opts); first != want {
+			t.Errorf("%s: concurrent calibration fit %v, want Calibrate's %v", name, fitOf(first), fitOf(want))
 		}
 		for w := 1; w < workers; w++ {
 			if results[i][w] != first {
@@ -66,6 +67,8 @@ func TestCalibratedPairConcurrent(t *testing.T) {
 
 // TestResetCalibrationCache verifies the reset actually forgets entries
 // (a fresh calibration runs afterwards) without disturbing determinism.
+// Like the test above, it uses non-default options to stay off the
+// committed fit table.
 func TestResetCalibrationCache(t *testing.T) {
 	ResetCalibrationCache()
 	t.Cleanup(ResetCalibrationCache)
@@ -74,11 +77,26 @@ func TestResetCalibrationCache(t *testing.T) {
 	if !ok {
 		t.Fatal("unknown pair babel-tove")
 	}
-	opts := CalibrateOptions{Iterations: 1, ProbeDuration: 60}
+	opts := nonDefaultOptions(t)
 	a := CalibratedPair(pair, opts)
 	ResetCalibrationCache()
 	b := CalibratedPair(pair, opts)
 	if a != b {
 		t.Error("calibration is deterministic; reset must not change the result")
 	}
+	if want := pair.Calibrate(opts); b != want {
+		t.Errorf("fit after reset %v, want Calibrate's %v", fitOf(b), fitOf(want))
+	}
+}
+
+// nonDefaultOptions returns short fitting options and checks that they
+// do not normalize to the defaults, under which CalibratedPair would
+// answer known pairs from the committed table instead of computing.
+func nonDefaultOptions(t *testing.T) CalibrateOptions {
+	t.Helper()
+	o := CalibrateOptions{Iterations: 1, ProbeDuration: 60}
+	if o.normalize() == (CalibrateOptions{}).normalize() {
+		t.Fatalf("options %+v are the defaults", o)
+	}
+	return o
 }

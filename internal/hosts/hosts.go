@@ -1,6 +1,6 @@
 // Package hosts encodes the measurement infrastructure of the paper's
 // Section III: the Table I host inventory (with the per-OS TCP variants
-// the paper notes) and, for each of the 23 sender-receiver pairs of
+// the paper notes) and, for each of the 24 sender-receiver pairs of
 // Table II, an emulated-path profile calibrated to the published per-pair
 // statistics (average RTT, average T0, loss-indication rate, and the
 // receiver windows given in the Fig. 7 captions).
@@ -35,36 +35,39 @@ type Host struct {
 	Variant reno.Variant
 }
 
-// TableI returns the paper's host inventory.
-func TableI() []Host {
-	return []Host{
-		{"ada", "hofstra.edu", "Irix 6.2", reno.Irix},
-		{"afer", "cs.umn.edu", "Linux", reno.Linux},
-		{"al", "cs.wm.edu", "Linux 2.0.31", reno.Linux},
-		{"alps", "cc.gatech.edu", "SunOS 4.1.3", reno.Tahoe},
-		{"babel", "cs.umass.edu", "SunOS 5.5.1", reno.Reno},
-		{"baskerville", "cs.arizona.edu", "SunOS 5.5.1", reno.Reno},
-		{"ganef", "cs.ucla.edu", "SunOS 5.5.1", reno.Reno},
-		{"imagine", "cs.umass.edu", "win95", reno.Reno},
-		{"manic", "cs.umass.edu", "Irix 6.2", reno.Irix},
-		{"mafalda", "inria.fr", "SunOS 5.5.1", reno.Reno},
-		{"maria", "wustl.edu", "SunOS 4.1.3", reno.Tahoe},
-		{"modi4", "ncsa.uiuc.edu", "Irix 6.2", reno.Irix},
-		{"pif", "inria.fr", "Solaris 2.5", reno.Reno},
-		{"pong", "usc.edu", "HP-UX", reno.Reno},
-		{"spiff", "sics.se", "SunOS 4.1.4", reno.Tahoe},
-		{"sutton", "cs.columbia.edu", "SunOS 5.5.1", reno.Reno},
-		{"tove", "cs.umd.edu", "SunOS 4.1.3", reno.Tahoe},
-		{"void", "cs.umass.edu", "Linux 2.0.30", reno.Linux},
-		{"att", "att.com", "Linux", reno.Linux},
-	}
+// tableI is the paper's host inventory. HostByName reads it in place;
+// TableI hands out copies so callers cannot edit it.
+var tableI = [...]Host{
+	{"ada", "hofstra.edu", "Irix 6.2", reno.Irix},
+	{"afer", "cs.umn.edu", "Linux", reno.Linux},
+	{"al", "cs.wm.edu", "Linux 2.0.31", reno.Linux},
+	{"alps", "cc.gatech.edu", "SunOS 4.1.3", reno.Tahoe},
+	{"babel", "cs.umass.edu", "SunOS 5.5.1", reno.Reno},
+	{"baskerville", "cs.arizona.edu", "SunOS 5.5.1", reno.Reno},
+	{"ganef", "cs.ucla.edu", "SunOS 5.5.1", reno.Reno},
+	{"imagine", "cs.umass.edu", "win95", reno.Reno},
+	{"manic", "cs.umass.edu", "Irix 6.2", reno.Irix},
+	{"mafalda", "inria.fr", "SunOS 5.5.1", reno.Reno},
+	{"maria", "wustl.edu", "SunOS 4.1.3", reno.Tahoe},
+	{"modi4", "ncsa.uiuc.edu", "Irix 6.2", reno.Irix},
+	{"pif", "inria.fr", "Solaris 2.5", reno.Reno},
+	{"pong", "usc.edu", "HP-UX", reno.Reno},
+	{"spiff", "sics.se", "SunOS 4.1.4", reno.Tahoe},
+	{"sutton", "cs.columbia.edu", "SunOS 5.5.1", reno.Reno},
+	{"tove", "cs.umd.edu", "SunOS 4.1.3", reno.Tahoe},
+	{"void", "cs.umass.edu", "Linux 2.0.30", reno.Linux},
+	{"att", "att.com", "Linux", reno.Linux},
 }
 
-// HostByName returns the Table I host with the given name.
+// TableI returns a copy of the paper's host inventory.
+func TableI() []Host { return append([]Host(nil), tableI[:]...) }
+
+// HostByName returns the Table I host with the given name. It does not
+// allocate: SenderVariant calls it for every simulated trace.
 func HostByName(name string) (Host, bool) {
-	for _, h := range TableI() {
-		if h.Name == name {
-			return h, true
+	for i := range tableI {
+		if tableI[i].Name == name {
+			return tableI[i], true
 		}
 	}
 	return Host{}, false
@@ -110,7 +113,7 @@ func (p Pair) P() float64 {
 // Name returns "sender-receiver", the label used on the paper's x axes.
 func (p Pair) Name() string { return p.Sender + "-" + p.Receiver }
 
-// TableII returns the 23 pairs of the 1-hour campaign with the paper's
+// TableII returns the 24 pairs of the 1-hour campaign with the paper's
 // published statistics.
 func TableII() []Pair {
 	mk := func(snd, rcv string, pkts, loss, td int, rtt, t0 float64, wm int, pub bool) Pair {

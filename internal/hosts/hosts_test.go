@@ -45,6 +45,19 @@ func TestVariantAssignment(t *testing.T) {
 	}
 }
 
+func TestHostByNameDoesNotAllocate(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { HostByName("void") }); n != 0 {
+		t.Errorf("HostByName allocates %v times per call, want 0", n)
+	}
+}
+
+func TestTableIReturnsCopy(t *testing.T) {
+	TableI()[0].Name = "edited"
+	if h := TableI()[0]; h.Name != "ada" {
+		t.Errorf("editing a returned Table I changed the inventory: %+v", h)
+	}
+}
+
 func TestTableIIPairs(t *testing.T) {
 	pairs := TableII()
 	if len(pairs) != 24 {
