@@ -215,9 +215,9 @@ bench-serve-json:
 	$(GO) run ./cmd/benchjson -serve -o BENCH_serve.json \
 		-label current <bench-serve-out/c8.json && \
 	$(GO) run ./cmd/benchjson -serve -o BENCH_serve.json \
-		-label sharded+singleflight+batch-c8 <bench-serve-out/c8.json && \
+		-label sharded+inline-c8 <bench-serve-out/c8.json && \
 	$(GO) run ./cmd/benchjson -serve -o BENCH_serve.json \
-		-label sharded+singleflight+batch-c64 <bench-serve-out/c64.json; \
+		-label sharded+inline-c64 <bench-serve-out/c64.json; \
 	status=$$?; kill -TERM $$pid; wait $$pid; \
 	rm -rf bench-serve-out; exit $$status
 

@@ -8,7 +8,7 @@
 //
 //	pftkd -addr 127.0.0.1:8080
 //	pftkd -addr 127.0.0.1:0 -addrfile /tmp/pftkd.addr -workers 8
-//	pftkd -addr 127.0.0.1:8080 -listeners 4 -batchwait 200us
+//	pftkd -addr 127.0.0.1:8080 -listeners 4
 //	curl -d '{"p":0.02,"rtt":0.2,"t0":2.0,"wm":12}' http://127.0.0.1:8080/v1/predict
 package main
 
@@ -52,8 +52,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		workers   = fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 		queue     = fs.Int("queue", 256, "job queue depth; a full queue sheds load with 429")
 		cache     = fs.Int("cache", 4096, "result cache entries")
-		maxBatch  = fs.Int("maxbatch", 1024, "maximum points per predict batch (and per micro-batched pool job)")
-		batchWait = fs.Duration("batchwait", 0, "micro-batching latency budget for single-point predicts (0 = dispatch immediately)")
+		maxBatch  = fs.Int("maxbatch", 1024, "maximum points per predict batch request")
 		listeners = fs.Int("listeners", 1, "accept paths on -addr (SO_REUSEPORT where available, else a shard-by-hash accept loop)")
 		debug     = fs.String("debugaddr", "", "serve expvar and pprof on this address (e.g. :0)")
 		trace     = fs.Bool("trace", true, "record request spans and serve /debug/tracez")
@@ -80,9 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 	if *maxBatch < 1 {
 		return fmt.Errorf("-maxbatch must be positive, got %d", *maxBatch)
-	}
-	if *batchWait < 0 {
-		return fmt.Errorf("-batchwait must be non-negative, got %v", *batchWait)
 	}
 	if *listeners < 1 {
 		return fmt.Errorf("-listeners must be positive, got %d", *listeners)
@@ -128,7 +124,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		QueueDepth:   *queue,
 		CacheEntries: *cache,
 		MaxBatch:     *maxBatch,
-		BatchWait:    *batchWait,
 		Registry:     reg,
 		Tracer:       tracer,
 		AccessLog:    logw,

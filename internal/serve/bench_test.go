@@ -35,8 +35,8 @@ func BenchmarkPredictBatch(b *testing.B) {
 }
 
 // BenchmarkServePredict measures the full in-process serving hot path —
-// routing, JSON decode, normalization, cache lookup, pool round trip,
-// JSON encode — for a single-point predict request. After the first
+// routing, JSON decode, normalization, cache lookup, response write —
+// for a single-point predict request. After the first
 // iteration every request is a cache hit, so this is the steady-state
 // cost a saturating client sees.
 func BenchmarkServePredict(b *testing.B) {

@@ -9,8 +9,8 @@ import (
 
 // cacheKey is the canonical request hash: a SHA-256 digest of the
 // normalized request. Fixed-size binary keys keep the sharded cache and
-// the singleflight table free of string headers and let the shard index
-// be read straight out of the first eight digest bytes.
+// the simulation flight table free of string headers and let the shard
+// index be read straight out of the first eight digest bytes.
 type cacheKey [32]byte
 
 // canonicalKey hashes a normalized request into its cache key. The value

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -38,18 +40,41 @@ type Job struct {
 	Error string `json:"error,omitempty"`
 }
 
-// jobStore tracks jobs by ID. Finished jobs are retained up to a cap and
-// then evicted oldest-first, so an arbitrarily long-lived daemon holds a
-// bounded job table; queued and running jobs are never evicted.
+// jobID formats a job's sequence number as its client-visible ID.
+func jobID(seq uint64) string { return fmt.Sprintf("job-%08d", seq) }
+
+// parseJobID inverts jobID. Only the canonical spelling names a job:
+// "job-1" is not "job-00000001".
+func parseJobID(id string) (uint64, bool) {
+	seq, err := strconv.ParseUint(strings.TrimPrefix(id, "job-"), 10, 64)
+	return seq, err == nil && jobID(seq) == id
+}
+
+// jobRecord is a job as the store holds it: keyed by sequence number,
+// with the result inline, so a retained finished job is one allocation
+// and its ID is formatted only when a client reads it.
+type jobRecord struct {
+	status    JobStatus
+	cached    bool
+	requestID string
+	req       SimulateRequest
+	res       SimulateResult
+	err       string
+}
+
+// jobStore tracks jobs by sequence number. Finished jobs are retained up
+// to a cap and then evicted oldest-first, so an arbitrarily long-lived
+// daemon holds a bounded job table; queued and running jobs are never
+// evicted.
 type jobStore struct {
 	mu  sync.Mutex
 	max int // immutable after construction
 	//pftk:guardedby mu
 	seq uint64
 	//pftk:guardedby mu
-	jobs map[string]*Job
+	jobs map[uint64]*jobRecord
 	//pftk:guardedby mu
-	finished []string // eviction order, oldest first
+	finished []uint64 // eviction order, oldest first
 }
 
 // newJobStore returns a store retaining up to max finished jobs (floored
@@ -58,74 +83,88 @@ func newJobStore(max int) *jobStore {
 	if max < 1 {
 		max = 1
 	}
-	return &jobStore{max: max, jobs: make(map[string]*Job)}
+	return &jobStore{max: max, jobs: make(map[uint64]*jobRecord)}
 }
 
 // create registers a new queued job for req, tagged with the
-// submitting request's ID, and returns a snapshot of it.
-func (s *jobStore) create(req SimulateRequest, requestID string) Job {
+// submitting request's ID, and returns its sequence number.
+func (s *jobStore) create(req SimulateRequest, requestID string) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	j := &Job{ID: fmt.Sprintf("job-%08d", s.seq), Status: JobQueued, Request: req, RequestID: requestID}
-	s.jobs[j.ID] = j
-	return *j
+	s.jobs[s.seq] = &jobRecord{status: JobQueued, req: req, requestID: requestID}
+	return s.seq
 }
 
-// get returns a snapshot of the job, if it exists.
+// get returns a snapshot of the job named by a client-visible ID, if it
+// exists.
 func (s *jobStore) get(id string) (Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	seq, ok := parseJobID(id)
 	if !ok {
 		return Job{}, false
 	}
-	return *j, true
+	return s.snapshot(seq)
+}
+
+// snapshot returns the client-visible view of job seq, if it exists.
+func (s *jobStore) snapshot(seq uint64) (Job, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[seq]
+	if !ok {
+		return Job{}, false
+	}
+	job := Job{ID: jobID(seq), Status: j.status, Cached: j.cached, RequestID: j.requestID, Request: j.req, Error: j.err}
+	if j.status == JobDone {
+		res := j.res
+		job.Result = &res
+	}
+	return job, true
 }
 
 // setRunning transitions a queued job to running.
-func (s *jobStore) setRunning(id string) {
+func (s *jobStore) setRunning(seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		j.Status = JobRunning
+	if j, ok := s.jobs[seq]; ok {
+		j.status = JobRunning
 	}
 }
 
 // finish completes the job with a result, marking it cached when it was
 // served from the LRU.
-func (s *jobStore) finish(id string, res SimulateResult, cached bool) {
+func (s *jobStore) finish(seq uint64, res SimulateResult, cached bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs[seq]
 	if !ok {
 		return
 	}
-	j.Status = JobDone
-	j.Result = &res
-	j.Cached = cached
-	s.noteFinishedLocked(id)
+	j.status = JobDone
+	j.res = res
+	j.cached = cached
+	s.noteFinishedLocked(seq)
 }
 
 // fail completes the job with an error.
-func (s *jobStore) fail(id string, msg string) {
+func (s *jobStore) fail(seq uint64, msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs[seq]
 	if !ok {
 		return
 	}
-	j.Status = JobFailed
-	j.Error = msg
-	s.noteFinishedLocked(id)
+	j.status = JobFailed
+	j.err = msg
+	s.noteFinishedLocked(seq)
 }
 
 // noteFinishedLocked records a terminal transition and evicts the oldest
 // finished jobs beyond the retention cap. Callers hold s.mu.
 //
 //pftk:locked(mu)
-func (s *jobStore) noteFinishedLocked(id string) {
-	s.finished = append(s.finished, id)
+func (s *jobStore) noteFinishedLocked(seq uint64) {
+	s.finished = append(s.finished, seq)
 	for len(s.finished) > s.max {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
@@ -148,4 +149,20 @@ func predict(r PredictRequest) (PredictResponse, error) {
 		}
 	}
 	return PredictResponse{Request: r, Rates: rates}, nil
+}
+
+// predictBody evaluates r and encodes its single-point response: JSON
+// plus a trailing newline, byte-identical to what json.Encoder writes.
+func predictBody(r PredictRequest) ([]byte, error) {
+	resp, err := predict(r)
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.Marshal(resp)
+	if err != nil {
+		// Responses are plain structs of numbers and strings; an encoding
+		// failure is a programming error, not an input error.
+		panic(fmt.Sprintf("serve: encode predict response: %v", err))
+	}
+	return append(data, '\n'), nil
 }

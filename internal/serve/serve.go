@@ -8,23 +8,18 @@
 //	GET  /v1/metrics   current metrics snapshot
 //	GET  /healthz      liveness and queue state
 //
-// Internally every piece of work flows through one bounded job queue
-// feeding a fixed worker pool (internal/workpool). Predictions are
-// executed synchronously (the handler waits for its result); simulations
-// are asynchronous jobs polled via /v1/jobs. When the queue is full the
-// service sheds load with 429 + Retry-After instead of queueing
-// unboundedly — it never drops connections. Finished work lands in
-// hash-sharded LRU caches keyed by a canonical request hash: requests are
-// normalized (defaults filled, model lists sorted) before hashing, and
-// simulations are seeded and deterministic, so a cache hit is exact and a
-// resubmitted simulation returns the identical result without re-running.
-//
-// The hot path is built for core-count scaling: the result caches are
-// sharded (per-shard mutexes, typed entries), identical in-flight
-// requests are coalesced onto one evaluation (singleflight — N concurrent
-// askers cost one predict() or one simulation), and single-point predict
-// evaluations from different connections are micro-batched into shared
-// worker-pool jobs under a configurable latency budget (Config.BatchWait).
+// Predictions are evaluated synchronously on the handler goroutine: a
+// miss passes a non-blocking admission check, is evaluated, encoded and
+// cached, and the handler writes the response. Simulations are
+// asynchronous jobs on a fixed worker pool with a bounded queue
+// (internal/workpool), polled via /v1/jobs. Under overload the service
+// sheds with 429 + Retry-After instead of queueing unboundedly — it never
+// drops connections. Finished work lands in hash-sharded LRU caches keyed
+// by a canonical request hash: requests are normalized (defaults filled,
+// model lists sorted) before hashing, and simulations are seeded and
+// deterministic, so a cache hit is exact and a resubmitted simulation
+// returns the identical result without re-running. Identical in-flight
+// simulations are coalesced onto one run.
 package serve
 
 import (
@@ -49,7 +44,8 @@ type Config struct {
 	// Workers is the size of the worker pool; default GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds the job queue; default 256. A full queue turns
-	// into 429 responses.
+	// into 429 responses. Workers + QueueDepth also caps the predict
+	// requests evaluating at once.
 	QueueDepth int
 	// CacheEntries bounds each result LRU (predictions and simulations
 	// are cached separately); default 4096.
@@ -57,15 +53,9 @@ type Config struct {
 	// CacheShards is the shard count of each result LRU, rounded up to a
 	// power of two; default a few shards per core.
 	CacheShards int
-	// MaxBatch bounds the number of points in one predict batch, and the
-	// number of queued single-point evaluations micro-batched into one
-	// worker-pool job; default 1024.
+	// MaxBatch bounds the number of points in one predict batch;
+	// default 1024.
 	MaxBatch int
-	// BatchWait is the micro-batching latency budget: how long a queued
-	// single-point predict evaluation may wait for company before its
-	// batch is dispatched. 0 (the default) dispatches immediately —
-	// batching then only aggregates what is already queued.
-	BatchWait time.Duration
 	// MaxJobs bounds retained finished jobs; default 4096.
 	MaxJobs int
 	// RetryAfter is the hint returned with 429 responses; default 1 s.
@@ -74,7 +64,7 @@ type Config struct {
 	// cost (the obs nil-handle convention).
 	Registry *obs.Registry
 	// Tracer records request-scoped spans (root per request, children
-	// for admission, cache, queue-wait, eval, encode); nil disables
+	// for cache, admission, queue-wait, eval, encode); nil disables
 	// tracing at zero cost (the tracez nil-handle convention). The same
 	// tracer is installed on the worker pool for per-job wait/service
 	// spans.
@@ -121,33 +111,20 @@ var latencyBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// errOverloaded marks a flight that was shed instead of evaluated; the
-// waiting handlers translate it into 429 + Retry-After.
-var errOverloaded = errors.New("job queue full")
-
-// cachedPredict pairs a finished prediction with its encoded single-point
-// response body (JSON plus trailing newline, byte-identical to what
-// json.Encoder produced before bodies were cached), so steady-state hits
-// skip JSON encoding entirely.
-type cachedPredict struct {
-	resp PredictResponse
-	body []byte
-}
-
 // Server is the pftkd HTTP service. Create one with New; it implements
 // http.Handler.
 type Server struct {
 	cfg       Config
 	pool      *workpool.Pool
-	predCache *shardedLRU[cachedPredict]
+	predCache *shardedLRU[[]byte] // encoded single-point bodies
 	simCache  *shardedLRU[SimulateResult]
-	flights   *flightGroup[predictOutcome]
 	simflight *simFlights
-	batch     *batcher
 	jobs      *jobStore
 	mux       *http.ServeMux
 	log       *logSink
 	closed    atomic.Bool
+	// evaluating counts predict requests admitted and not yet done.
+	evaluating atomic.Int64
 
 	// reqSeq numbers requests that arrive without an X-Request-Id.
 	reqSeq atomic.Uint64
@@ -163,8 +140,6 @@ type Server struct {
 	mCacheMisses   *obs.Counter
 	mPredictPts    *obs.Counter
 	mEvals         *obs.Counter
-	mCoalesced     *obs.Counter
-	mBatchJobs     *obs.Counter
 	mJobsSub       *obs.Counter
 	mJobsDone      *obs.Counter
 	mJobsFailed    *obs.Counter
@@ -179,9 +154,8 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		pool:      workpool.New(cfg.Workers, cfg.QueueDepth),
-		predCache: newShardedLRU[cachedPredict](cfg.CacheEntries, cfg.CacheShards),
+		predCache: newShardedLRU[[]byte](cfg.CacheEntries, cfg.CacheShards),
 		simCache:  newShardedLRU[SimulateResult](cfg.CacheEntries, cfg.CacheShards),
-		flights:   newFlightGroup[predictOutcome](),
 		simflight: newSimFlights(),
 		jobs:      newJobStore(cfg.MaxJobs),
 		mux:       http.NewServeMux(),
@@ -198,14 +172,11 @@ func New(cfg Config) *Server {
 		mCacheMisses:   reg.Counter("serve.cache.misses"),
 		mPredictPts:    reg.Counter("serve.predict.points"),
 		mEvals:         reg.Counter("serve.predict.evals"),
-		mCoalesced:     reg.Counter("serve.predict.coalesced"),
-		mBatchJobs:     reg.Counter("serve.batch.jobs"),
 		mJobsSub:       reg.Counter("serve.jobs.submitted"),
 		mJobsDone:      reg.Counter("serve.jobs.completed"),
 		mJobsFailed:    reg.Counter("serve.jobs.failed"),
 		mJobsCoalesced: reg.Counter("serve.jobs.coalesced"),
 	}
-	s.batch = newBatcher(cfg.MaxBatch, cfg.BatchWait, cfg.QueueDepth, s.runBatch)
 	s.pool.SetTracer(cfg.Tracer)
 	if cfg.Tracer != nil {
 		// The span view rides on the service address, so one port serves
@@ -221,12 +192,11 @@ func New(cfg Config) *Server {
 }
 
 // Close stops admitting work and blocks until every accepted job has
-// finished — the drain half of graceful shutdown. The batcher closes
-// before the pool so its final batches can still submit; the HTTP
-// listener (if any) is the caller's to stop first.
+// finished — the drain half of graceful shutdown. Predictions run on
+// their handlers, so the HTTP listener (if any) is the caller's to stop
+// first.
 func (s *Server) Close() {
 	s.closed.Store(true)
-	s.batch.close()
 	s.pool.Close()
 }
 
@@ -409,19 +379,44 @@ type BatchResponse struct {
 	Results []PredictResponse `json:"results"`
 }
 
-// pendingFlight is one miss the handler is waiting on: the point's index
-// in its request plus the (possibly shared) flight computing it.
-type pendingFlight struct {
-	i  int
-	fl *inflight[predictOutcome]
+// batchBody splices single-point bodies into the batch envelope. Each
+// element encodes alone exactly as it does inside BatchResponse, so the
+// result is byte-identical to json.Encoder's encoding of the batch.
+func batchBody(bodies [][]byte) []byte {
+	n := len(`{"results":[]}`) // each body's newline pays for a comma or the last "\n"
+	for _, b := range bodies {
+		n += len(b)
+	}
+	out := append(make([]byte, 0, n), `{"results":[`...)
+	for i, b := range bodies {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(out, b[:len(b)-1]...) // drop the body's newline
+	}
+	return append(out, "]}\n"...)
+}
+
+// admit reserves an evaluation slot for one predict request's misses,
+// whatever their number. It refuses once the server is closed, while the
+// job queue is full, or when Workers + QueueDepth requests are already
+// evaluating. The caller releases an admitted slot with
+// s.evaluating.Add(-1).
+func (s *Server) admit() bool {
+	if s.closed.Load() || s.pool.QueueDepth() >= s.cfg.QueueDepth {
+		return false
+	}
+	if s.evaluating.Add(1) > int64(s.cfg.Workers+s.cfg.QueueDepth) {
+		s.evaluating.Add(-1)
+		return false
+	}
+	return true
 }
 
 // handlePredict evaluates the model family at one point or a batch of
-// points. The handler goroutine only parses, consults the cache, and
-// waits: misses are coalesced onto singleflight evaluations and
-// dispatched through the micro-batcher onto the worker pool, so duplicate
-// in-flight points cost one evaluation process-wide and prediction load
-// is subject to the same admission control as simulations.
+// points. Hits are served from the cache. The misses of one request are
+// admitted together and evaluated in order on the handler goroutine,
+// each one encoded and cached as it completes.
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	root := tracez.FromContext(r.Context())
 	var payload predictPayload
@@ -460,152 +455,75 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		keys[i] = predictKey(reqs[i])
 	}
 
-	// Serve what the cache already knows; join or lead a flight for each
-	// miss. Duplicate keys — within this batch or across concurrent
-	// requests — share one flight and therefore one evaluation.
-	results := make([]PredictResponse, len(reqs))
-	var singleBody []byte
-	var waits []pendingFlight
-	var leaders []*evalItem
+	bodies := make([][]byte, len(reqs))
+	var misses []int
 	cacheSp := root.StartChild("cache")
 	for i := range reqs {
-		if v, ok := s.predCache.get(keys[i]); ok {
+		if body, ok := s.predCache.get(keys[i]); ok {
 			s.mCacheHits.Inc()
-			results[i] = v.resp
-			singleBody = v.body
+			bodies[i] = body
 			continue
 		}
 		s.mCacheMisses.Inc()
-		fl, leader := s.flights.join(keys[i])
-		if leader {
-			leaders = append(leaders, &evalItem{req: reqs[i], key: keys[i], fl: fl})
-		} else {
-			s.mCoalesced.Inc()
-		}
-		waits = append(waits, pendingFlight{i: i, fl: fl})
+		misses = append(misses, i)
 	}
-	cacheSp.SetAttr("hits", strconv.Itoa(len(reqs)-len(waits)))
-	cacheSp.SetAttr("misses", strconv.Itoa(len(waits)))
+	cacheSp.SetAttr("hits", strconv.Itoa(len(reqs)-len(misses)))
+	cacheSp.SetAttr("misses", strconv.Itoa(len(misses)))
 	cacheSp.End()
 
-	// The queue-wait/service split is measured on the wall clock and
-	// echoed in response headers, so load generators can separate time
-	// in the admission queue from model evaluation without a tracer.
+	// The queue/service split is measured on the wall clock and echoed in
+	// response headers, so load generators can separate admission from
+	// model evaluation without a tracer. Queue runs from admission to the
+	// start of evaluation.
 	var queueWait, service time.Duration
-	if len(waits) > 0 {
-		submitted := time.Now()
-		submittedTrace := s.cfg.Tracer.NowSeconds()
-		// Flights may outlive this handler (the client can hang up while
-		// waiters remain); the span copy keeps the trace ID valid for the
-		// async child spans, as with simulation jobs.
-		traceRef := *root
+	if len(misses) > 0 {
 		adm := root.StartChild("admission")
-		shed := false
-		for _, it := range leaders {
-			it.submitted = submitted
-			it.submittedTrace = submittedTrace
-			it.trace = traceRef
-			if !s.batch.enqueue(it) {
-				s.flights.complete(it.key, it.fl, predictOutcome{}, errOverloaded)
-				shed = true
-			}
-		}
-		if shed {
+		if !s.admit() {
 			adm.SetError("queue full")
+			adm.End()
+			s.rejectOverload(w)
+			return
 		}
+		admitted := time.Now()
 		adm.End()
-
-		for _, p := range waits {
-			select {
-			case <-p.fl.done:
-			case <-r.Context().Done():
-				// The client is gone. The flight still completes into the
-				// cache for whoever asks next; there is just no one left
-				// to answer here.
-				return
-			}
-			if err := p.fl.err; err != nil {
-				if errors.Is(err, errOverloaded) {
-					s.rejectOverload(w)
-					return
-				}
-				writeError(w, http.StatusBadRequest, "request %d: %v", p.i, err)
-				return
-			}
-			out := p.fl.val
-			results[p.i] = out.resp
-			singleBody = out.body
-			if out.queueWait > queueWait {
-				queueWait = out.queueWait
-			}
-			if out.service > service {
-				service = out.service
-			}
+		esp := root.StartChild("eval")
+		start := time.Now()
+		bad, err := s.evaluate(reqs, keys, misses, bodies)
+		queueWait, service = start.Sub(admitted), time.Since(start)
+		s.evaluating.Add(-1)
+		if err != nil {
+			esp.SetError(err.Error())
+			esp.End()
+			writeError(w, http.StatusBadRequest, "request %d: %v", bad, err)
+			return
 		}
+		esp.End()
 	}
 	setSecondsHeader(w, "X-Queue-Seconds", queueWait)
 	setSecondsHeader(w, "X-Service-Seconds", service)
 	enc := root.StartChild("encode")
 	defer enc.End()
 	if batch {
-		writeJSON(w, http.StatusOK, BatchResponse{Results: results})
+		writeJSONBytes(w, http.StatusOK, batchBody(bodies))
 		return
 	}
-	// Single-point responses reuse the encoded body cached with the
-	// result — byte-identical to encoding results[0] here.
-	writeJSONBytes(w, http.StatusOK, singleBody)
+	writeJSONBytes(w, http.StatusOK, bodies[0])
 }
 
-// runBatch dispatches one drained micro-batch as a single worker-pool
-// job. A full pool sheds the whole batch: every flight completes as
-// overloaded and the waiting handlers answer 429.
-func (s *Server) runBatch(items []*evalItem) {
-	s.mBatchJobs.Inc()
-	accepted := s.pool.TrySubmit(func() {
-		picked := time.Now()
-		for _, it := range items {
-			s.evalOne(it, picked)
+// evaluate computes, encodes and caches the body of each missed point in
+// order. It stops at the first point with no finite answer and returns
+// that point's index with the error.
+func (s *Server) evaluate(reqs []PredictRequest, keys []cacheKey, misses []int, bodies [][]byte) (int, error) {
+	for _, i := range misses {
+		body, err := predictBody(reqs[i])
+		s.mEvals.Inc()
+		if err != nil {
+			return i, err
 		}
-	})
-	if !accepted {
-		for _, it := range items {
-			s.flights.complete(it.key, it.fl, predictOutcome{}, errOverloaded)
-		}
+		s.predCache.put(keys[i], body)
+		bodies[i] = body
 	}
-}
-
-// evalOne evaluates one coalesced point and completes its flight. The
-// cache is re-checked first: between this item's miss and its dispatch, a
-// completed racer may have published the result (flights clear only
-// after the cache put), and recomputing would waste the win.
-func (s *Server) evalOne(it *evalItem, picked time.Time) {
-	queueWait := picked.Sub(it.submitted)
-	qsp := it.trace.StartChildAt("queue-wait", it.submittedTrace)
-	qsp.End()
-	if v, ok := s.predCache.get(it.key); ok {
-		s.flights.complete(it.key, it.fl, predictOutcome{resp: v.resp, body: v.body, queueWait: queueWait}, nil)
-		return
-	}
-	esp := it.trace.StartChild("eval")
-	t := time.Now()
-	resp, err := predict(it.req)
-	s.mEvals.Inc()
-	if err != nil {
-		esp.SetError(err.Error())
-		esp.End()
-		s.flights.complete(it.key, it.fl, predictOutcome{queueWait: queueWait, service: time.Since(t)}, err)
-		return
-	}
-	esp.End()
-	data, merr := json.Marshal(resp)
-	if merr != nil {
-		// Responses are plain structs of numbers and strings; an encoding
-		// failure is a programming error, not an input error.
-		panic(fmt.Sprintf("serve: encode predict response: %v", merr))
-	}
-	body := append(data, '\n')
-	s.predCache.put(it.key, cachedPredict{resp: resp, body: body})
-	s.flights.complete(it.key, it.fl, predictOutcome{resp: resp, body: body, queueWait: queueWait, service: time.Since(t)}, nil)
+	return 0, nil
 }
 
 // handleSimulate admits one simulation job. Cache hits complete
@@ -632,17 +550,18 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.mCacheHits.Inc()
 		cacheSp.SetAttr("hit", "true")
 		cacheSp.End()
-		job := s.jobs.create(req, reqID)
-		s.jobs.finish(job.ID, v, true)
-		job, _ = s.jobs.get(job.ID)
+		seq := s.jobs.create(req, reqID)
+		s.jobs.finish(seq, v, true)
+		job, _ := s.jobs.snapshot(seq)
 		writeJSON(w, http.StatusOK, job)
 		return
 	}
 	s.mCacheMisses.Inc()
 	cacheSp.SetAttr("hit", "false")
 	cacheSp.End()
-	job := s.jobs.create(req, reqID)
-	if !s.simflight.join(key, job.ID) {
+	seq := s.jobs.create(req, reqID)
+	job, _ := s.jobs.snapshot(seq)
+	if !s.simflight.join(key, seq) {
 		// An identical simulation is already running; this job completes
 		// from the leader's result without occupying a worker.
 		s.mJobsCoalesced.Inc()
@@ -661,14 +580,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	// the submission.
 	traceRef := *root
 	accepted := s.pool.TrySubmit(func() {
-		s.jobs.setRunning(job.ID)
+		s.jobs.setRunning(seq)
 		qsp := traceRef.StartChildAt("queue-wait", submittedTrace)
 		qsp.End()
 		// A fresh leader can race an identical just-finished run (the
 		// flight clears after the cache put); re-checking here turns that
 		// into a free completion instead of a duplicate simulation.
 		if v, ok := s.simCache.get(key); ok {
-			s.jobs.finish(job.ID, v, true)
+			s.jobs.finish(seq, v, true)
 			s.mJobsDone.Inc()
 			for _, id := range s.simflight.take(key) {
 				s.jobs.finish(id, v, true)
@@ -681,7 +600,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			esp.SetError(err.Error())
 			esp.End()
-			s.jobs.fail(job.ID, err.Error())
+			s.jobs.fail(seq, err.Error())
 			s.mJobsFailed.Inc()
 			for _, id := range s.simflight.take(key) {
 				s.jobs.fail(id, err.Error())
@@ -692,7 +611,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		}
 		esp.End()
 		s.simCache.put(key, res)
-		s.jobs.finish(job.ID, res, false)
+		s.jobs.finish(seq, res, false)
 		s.mJobsDone.Inc()
 		for _, id := range s.simflight.take(key) {
 			s.jobs.finish(id, res, true)
@@ -702,7 +621,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !accepted {
 		adm.SetError("queue full")
 		adm.End()
-		s.jobs.fail(job.ID, "rejected: queue full")
+		s.jobs.fail(seq, "rejected: queue full")
 		s.mJobsFailed.Inc()
 		for _, id := range s.simflight.take(key) {
 			s.jobs.fail(id, "rejected: queue full")

@@ -2,81 +2,29 @@ package serve
 
 import "sync"
 
-// inflight is one coalesced evaluation. The leader writes val and err
-// exactly once and then closes done; waiters read them only after done is
-// closed, so no lock guards the result fields — the channel close is the
-// publication barrier.
-type inflight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-}
-
-// flightGroup deduplicates concurrent evaluations of the same canonical
-// key: however many requests ask for a key while it is being computed,
-// exactly one evaluation runs and every waiter shares its result. Unlike
-// the cache, entries live only for the duration of the computation.
-type flightGroup[V any] struct {
-	mu sync.Mutex
-	//pftk:guardedby mu
-	calls map[cacheKey]*inflight[V]
-}
-
-func newFlightGroup[V any]() *flightGroup[V] {
-	return &flightGroup[V]{calls: make(map[cacheKey]*inflight[V])}
-}
-
-// join returns the in-flight call for key, creating it when absent.
-// leader is true for the creator, who is obligated to complete the call;
-// everyone else just waits on done.
-func (g *flightGroup[V]) join(key cacheKey) (f *inflight[V], leader bool) {
-	g.mu.Lock()
-	f, ok := g.calls[key]
-	if !ok {
-		f = &inflight[V]{done: make(chan struct{})}
-		g.calls[key] = f
-		leader = true
-	}
-	g.mu.Unlock()
-	return f, leader
-}
-
-// complete publishes the result and releases every waiter. Callers must
-// put a successful result into the cache *before* completing: the entry
-// is removed from the table here, and a request that finds neither a
-// cache hit nor an in-flight call becomes a fresh leader.
-func (g *flightGroup[V]) complete(key cacheKey, f *inflight[V], val V, err error) {
-	f.val = val
-	f.err = err
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	close(f.done)
-}
-
 // simFlights coalesces identical in-flight simulation jobs. Simulations
 // are asynchronous (clients poll their own job ID), so instead of parking
-// waiters on a channel the table records which job IDs are waiting for a
+// waiters on a channel the table records which jobs are waiting for a
 // key; the leader finishes them all from its one result.
 type simFlights struct {
 	mu sync.Mutex
 	//pftk:guardedby mu
-	waiting map[cacheKey][]string
+	waiting map[cacheKey][]uint64
 }
 
 func newSimFlights() *simFlights {
-	return &simFlights{waiting: map[cacheKey][]string{}}
+	return &simFlights{waiting: map[cacheKey][]uint64{}}
 }
 
 // join registers interest in key. The first caller becomes the leader
-// (its own job ID is not recorded — the leader finishes its job directly)
-// and must eventually call take; later callers' job IDs accumulate until
+// (its own job is not recorded — the leader finishes its job directly)
+// and must eventually call take; later callers' jobs accumulate until
 // the leader takes them.
-func (t *simFlights) join(key cacheKey, jobID string) (leader bool) {
+func (t *simFlights) join(key cacheKey, job uint64) (leader bool) {
 	t.mu.Lock()
-	ids, ok := t.waiting[key]
+	jobs, ok := t.waiting[key]
 	if ok {
-		t.waiting[key] = append(ids, jobID)
+		t.waiting[key] = append(jobs, job)
 	} else {
 		t.waiting[key] = nil
 		leader = true
@@ -85,14 +33,14 @@ func (t *simFlights) join(key cacheKey, jobID string) (leader bool) {
 	return leader
 }
 
-// take removes the key's flight and returns the waiting job IDs, which
-// the leader must drive to a terminal state. As with flightGroup, a
-// successful result must be cached before take so late arrivals hit the
-// cache instead of finding neither flight nor result.
-func (t *simFlights) take(key cacheKey) []string {
+// take removes the key's flight and returns the waiting jobs, which the
+// leader must drive to a terminal state. A successful result must be
+// cached before take, so late arrivals hit the cache instead of finding
+// neither flight nor result.
+func (t *simFlights) take(key cacheKey) []uint64 {
 	t.mu.Lock()
-	ids := t.waiting[key]
+	jobs := t.waiting[key]
 	delete(t.waiting, key)
 	t.mu.Unlock()
-	return ids
+	return jobs
 }

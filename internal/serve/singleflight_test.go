@@ -12,96 +12,6 @@ import (
 	"pftk/internal/obs"
 )
 
-// TestSingleflightCoalescesIdenticalPredicts proves the K→1 property:
-// K concurrent identical single-point predicts perform exactly one model
-// evaluation. Every non-leader either joined the leader's flight (the
-// coalesce counter) or arrived after completion and hit the cache; the
-// responses are byte-identical either way.
-func TestSingleflightCoalescesIdenticalPredicts(t *testing.T) {
-	const k = 16
-	reg := obs.New()
-	// The batch window holds the leader's evaluation open long enough
-	// that concurrently released requests join its flight rather than
-	// racing it; correctness does not depend on the timing, only the
-	// coalesced/hit split does.
-	s := New(Config{Workers: 2, QueueDepth: 64, BatchWait: 100 * time.Millisecond, Registry: reg})
-	defer s.Close()
-
-	const body = `{"p":0.02,"rtt":0.2,"t0":2.0,"wm":12}`
-	var (
-		start  = make(chan struct{})
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		bodies []string
-	)
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(body))
-			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, req)
-			mu.Lock()
-			defer mu.Unlock()
-			if rec.Code != http.StatusOK {
-				t.Errorf("status %d: %s", rec.Code, rec.Body)
-				return
-			}
-			bodies = append(bodies, rec.Body.String())
-		}()
-	}
-	close(start)
-	wg.Wait()
-
-	snap := reg.Snapshot()
-	if evals := snap.Counter("serve.predict.evals"); evals != 1 {
-		t.Errorf("serve.predict.evals = %d, want exactly 1 for %d identical requests", evals, k)
-	}
-	hits := snap.Counter("serve.cache.hits")
-	coalesced := snap.Counter("serve.predict.coalesced")
-	if hits+coalesced != k-1 {
-		t.Errorf("hits (%d) + coalesced (%d) = %d, want %d non-leaders accounted for",
-			hits, coalesced, hits+coalesced, k-1)
-	}
-	if len(bodies) != k {
-		t.Fatalf("got %d successful responses, want %d", len(bodies), k)
-	}
-	for i, b := range bodies {
-		if b != bodies[0] {
-			t.Fatalf("response %d differs from response 0:\n%s\nvs\n%s", i, b, bodies[0])
-		}
-	}
-}
-
-// TestFlightGroupLateJoinerBecomesLeader pins the table contract that
-// completion removes the entry: a joiner arriving afterwards must lead a
-// fresh flight (and will find the cache warm instead of re-evaluating —
-// see Server.evalOne).
-func TestFlightGroupLateJoinerBecomesLeader(t *testing.T) {
-	g := newFlightGroup[int]()
-	key := testKey(1)
-	f1, leader := g.join(key)
-	if !leader {
-		t.Fatal("first join must lead")
-	}
-	if _, leader := g.join(key); leader {
-		t.Fatal("second join while in flight must not lead")
-	}
-	g.complete(key, f1, 42, nil)
-	select {
-	case <-f1.done:
-	default:
-		t.Fatal("complete did not release waiters")
-	}
-	if v := f1.val; v != 42 {
-		t.Fatalf("flight value %d, want 42", v)
-	}
-	if _, leader := g.join(key); !leader {
-		t.Fatal("join after completion must lead a fresh flight")
-	}
-}
-
 // TestSimulateCoalescingSharesOneRun submits K identical simulations
 // concurrently: every request gets its own job ID and every job reaches
 // done, but only one simulation executes — the rest ride the leader's

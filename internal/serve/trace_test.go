@@ -115,3 +115,27 @@ func waitForTrace(t *testing.T, tr *tracez.Tracer, reqID string) (tracez.Record,
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestPredictMissSpans requires a predict miss's root span to carry the
+// stages of the inline path: cache lookup, admission and evaluation.
+func TestPredictMissSpans(t *testing.T) {
+	tr := tracez.New(tracez.Options{Shards: 2, PerShard: 64})
+	s, _ := newTestServer(t, Config{Tracer: tr})
+	const reqID = "predict-miss-0001"
+	if rec := postJSONWithID(s, "/v1/predict", `{"p":0.02,"rtt":0.2,"t0":2.0,"wm":12}`, reqID); rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	root, children := waitForTrace(t, tr, reqID)
+	if root.Name != "POST /v1/predict" {
+		t.Errorf("root span name = %q, want POST /v1/predict", root.Name)
+	}
+	names := map[string]bool{}
+	for _, c := range children {
+		names[c.Name] = true
+	}
+	for _, want := range []string{"cache", "admission", "eval"} {
+		if !names[want] {
+			t.Errorf("root span has no %q child (children: %v)", want, names)
+		}
+	}
+}
