@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json bench-json-smoke bench-serve-json bench-serve-json-smoke serve-scale-smoke chaos-smoke fuzz fuzz-ci experiments examples fmt fmtcheck vet lint lint-baseline invariants obs-smoke serve-smoke trace-smoke scenario-smoke scenario-golden calibrate check clean
+.PHONY: all build test test-short race cover bench bench-json bench-json-smoke perfbench-smoke chaos-smoke fuzz fuzz-ci experiments examples fmt fmtcheck vet lint lint-baseline invariants obs-smoke serve-smoke scenario-smoke scenario-golden calibrate check clean
 
 all: build test
 
@@ -143,133 +143,48 @@ obs-smoke:
 	$(GO) run ./cmd/experiments -checkobs obs-smoke-out
 	rm -rf obs-smoke-out
 
-# End-to-end serving smoke test: build pftkd and pftkload, boot the
-# daemon on an ephemeral port, hit it with a short closed-loop predict
-# burst plus a couple of simulate jobs (pftkload exits non-zero when no
-# request succeeds), then require a clean SIGTERM drain.
+# End-to-end serving smoke test: boot pftkd once with an access log and
+# drive it with an open-loop Poisson predict burst (latency measured
+# from each request's scheduled send time), a closed-loop batched
+# predict burst and a few simulate jobs; pftkload exits non-zero when no
+# request succeeds. Then require the /debug/tracez JSONL export to hold
+# the request root spans, their eval children and the load tool's
+# propagated request ids, the access log to carry the same ids with the
+# queue/service split, and a clean SIGTERM drain. pftkd is stopped
+# whether or not a check failed.
 serve-smoke:
 	rm -rf serve-smoke-out && mkdir -p serve-smoke-out
 	$(GO) build -o serve-smoke-out/pftkd ./cmd/pftkd
 	$(GO) build -o serve-smoke-out/pftkload ./cmd/pftkload
 	./serve-smoke-out/pftkd -addr 127.0.0.1:0 \
-		-addrfile serve-smoke-out/addr >serve-smoke-out/pftkd.log & \
+		-addrfile serve-smoke-out/addr \
+		-accesslog serve-smoke-out/access.log >serve-smoke-out/pftkd.log & \
 	pid=$$!; \
 	for i in $$(seq 1 100); do [ -s serve-smoke-out/addr ] && break; sleep 0.1; done; \
 	[ -s serve-smoke-out/addr ] || { echo "pftkd never bound"; kill $$pid; exit 1; }; \
 	url="http://$$(cat serve-smoke-out/addr)"; \
+	./serve-smoke-out/pftkload -url $$url -c 8 -n 1000 -qps 2000 -openloop && \
 	./serve-smoke-out/pftkload -url $$url -c 8 -n 500 -batch 4 && \
 	./serve-smoke-out/pftkload -url $$url -mode simulate -c 2 -n 4 -simdur 2 && \
-	kill -TERM $$pid && wait $$pid && \
-	grep -q "drained and stopped" serve-smoke-out/pftkd.log
+	curl -fsS "$$url/debug/tracez" >/dev/null && \
+	curl -fsS "$$url/debug/tracez?format=jsonl" >serve-smoke-out/spans.jsonl && \
+	grep -q '"name":"POST /v1/predict"' serve-smoke-out/spans.jsonl && \
+	grep -q '"name":"eval"' serve-smoke-out/spans.jsonl && \
+	grep -q '"key":"request_id","value":"load-' serve-smoke-out/spans.jsonl && \
+	grep -q 'request_id=load-' serve-smoke-out/access.log && \
+	grep -q 'queue_seconds=' serve-smoke-out/access.log; \
+	status=$$?; kill -TERM $$pid; wait $$pid || status=1; \
+	[ $$status -eq 0 ] && grep -q "drained and stopped" serve-smoke-out/pftkd.log
 	rm -rf serve-smoke-out
 
-# End-to-end tracing smoke test: boot pftkd with tracing and an access
-# log, push a traced predict burst through pftkload, then require the
-# /debug/tracez JSONL export to contain the request root spans, their
-# eval children and the load tool's propagated request ids — and the
-# access log to carry the same ids with the queue/service split.
-trace-smoke:
-	rm -rf trace-smoke-out && mkdir -p trace-smoke-out
-	$(GO) build -o trace-smoke-out/pftkd ./cmd/pftkd
-	$(GO) build -o trace-smoke-out/pftkload ./cmd/pftkload
-	./trace-smoke-out/pftkd -addr 127.0.0.1:0 \
-		-addrfile trace-smoke-out/addr \
-		-accesslog trace-smoke-out/access.log >trace-smoke-out/pftkd.log & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s trace-smoke-out/addr ] && break; sleep 0.1; done; \
-	[ -s trace-smoke-out/addr ] || { echo "pftkd never bound"; kill $$pid; exit 1; }; \
-	url="http://$$(cat trace-smoke-out/addr)"; \
-	./trace-smoke-out/pftkload -url $$url -c 4 -n 200 && \
-	curl -fsS "$$url/debug/tracez" >/dev/null && \
-	curl -fsS "$$url/debug/tracez?format=jsonl" >trace-smoke-out/spans.jsonl && \
-	grep -q '"name":"POST /v1/predict"' trace-smoke-out/spans.jsonl && \
-	grep -q '"name":"eval"' trace-smoke-out/spans.jsonl && \
-	grep -q '"key":"request_id","value":"load-' trace-smoke-out/spans.jsonl && \
-	grep -q 'request_id=load-' trace-smoke-out/access.log && \
-	grep -q 'queue_seconds=' trace-smoke-out/access.log && \
-	kill -TERM $$pid && wait $$pid
-	rm -rf trace-smoke-out
-
-# Serving throughput trajectory: boot pftkd in its default (traced)
-# configuration and drive closed-loop predict bursts at two concurrency
-# levels. The c=8 report is folded into BENCH_serve.json under both
-# "current" (the moving head the smoke gate compares against) and a
-# descriptive trajectory label naming the serving architecture; the c=64
-# report records how the same architecture holds up past the worker
-# count. Committed historical labels ("mutex-lru", ...) are the
-# baselines earlier PRs were measured against — do not overwrite them.
-bench-serve-json:
-	rm -rf bench-serve-out && mkdir -p bench-serve-out
-	$(GO) build -o bench-serve-out/pftkd ./cmd/pftkd
-	$(GO) build -o bench-serve-out/pftkload ./cmd/pftkload
-	./bench-serve-out/pftkd -addr 127.0.0.1:0 \
-		-addrfile bench-serve-out/addr >bench-serve-out/pftkd.log & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s bench-serve-out/addr ] && break; sleep 0.1; done; \
-	[ -s bench-serve-out/addr ] || { echo "pftkd never bound"; kill $$pid; exit 1; }; \
-	url="http://$$(cat bench-serve-out/addr)"; \
-	./bench-serve-out/pftkload -url $$url -c 8 -n 5000 -json \
-		>bench-serve-out/c8.json && \
-	./bench-serve-out/pftkload -url $$url -c 64 -n 5000 -json \
-		>bench-serve-out/c64.json && \
-	$(GO) run ./cmd/benchjson -serve -o BENCH_serve.json \
-		-label current <bench-serve-out/c8.json && \
-	$(GO) run ./cmd/benchjson -serve -o BENCH_serve.json \
-		-label sharded+inline-c8 <bench-serve-out/c8.json && \
-	$(GO) run ./cmd/benchjson -serve -o BENCH_serve.json \
-		-label sharded+inline-c64 <bench-serve-out/c64.json; \
-	status=$$?; kill -TERM $$pid; wait $$pid; \
-	rm -rf bench-serve-out; exit $$status
-
-# CI regression gate for the committed serving baseline: drive a short
-# predict burst against a live pftkd and require (a) the pftkload -json
-# report still parses as healthy traffic with latency quantiles, and
-# (b) BENCH_serve.json still parses into the baseline schema with a
-# recorded serve entry under the "current" label — so the committed
-# numbers stay comparable against what the load pipeline produces.
-# -gatefrac 0.2 additionally requires the live run to reach 20% of the
-# committed throughput (and stay within 5x the committed p99) for the
-# matching mode+concurrency label: generous machine-variance slack that
-# still fails on the order-of-magnitude collapse a real serving
-# regression causes.
-bench-serve-json-smoke:
-	rm -rf bench-serve-out && mkdir -p bench-serve-out
-	$(GO) build -o bench-serve-out/pftkd ./cmd/pftkd
-	$(GO) build -o bench-serve-out/pftkload ./cmd/pftkload
-	./bench-serve-out/pftkd -addr 127.0.0.1:0 \
-		-addrfile bench-serve-out/addr >bench-serve-out/pftkd.log & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s bench-serve-out/addr ] && break; sleep 0.1; done; \
-	[ -s bench-serve-out/addr ] || { echo "pftkd never bound"; kill $$pid; exit 1; }; \
-	url="http://$$(cat bench-serve-out/addr)"; \
-	./bench-serve-out/pftkload -url $$url -c 8 -n 500 -json \
-		| $(GO) run ./cmd/benchjson -serve -check \
-			-baseline BENCH_serve.json -require current -gatefrac 0.2; \
-	status=$$?; kill -TERM $$pid; wait $$pid; \
-	rm -rf bench-serve-out; exit $$status
-
-# Multi-listener scale smoke: boot pftkd with two accept paths
-# (SO_REUSEPORT where the kernel allows it, shard-by-hash fanout
-# otherwise) and drive an open-loop Poisson predict burst — the
-# discipline that keeps latency honest under overload, measured from
-# each request's scheduled send time. pftkload exits non-zero if no
-# request succeeds; the grep requires the daemon actually ran in
-# multi-listener mode and still drained cleanly.
-serve-scale-smoke:
-	rm -rf serve-scale-out && mkdir -p serve-scale-out
-	$(GO) build -o serve-scale-out/pftkd ./cmd/pftkd
-	$(GO) build -o serve-scale-out/pftkload ./cmd/pftkload
-	./serve-scale-out/pftkd -addr 127.0.0.1:0 -listeners 2 \
-		-addrfile serve-scale-out/addr >serve-scale-out/pftkd.log & \
-	pid=$$!; \
-	for i in $$(seq 1 100); do [ -s serve-scale-out/addr ] && break; sleep 0.1; done; \
-	[ -s serve-scale-out/addr ] || { echo "pftkd never bound"; kill $$pid; exit 1; }; \
-	url="http://$$(cat serve-scale-out/addr)"; \
-	./serve-scale-out/pftkload -url $$url -c 8 -n 1000 -qps 2000 -openloop && \
-	kill -TERM $$pid && wait $$pid && \
-	grep -q "2 listeners (" serve-scale-out/pftkd.log && \
-	grep -q "drained and stopped" serve-scale-out/pftkd.log
-	rm -rf serve-scale-out
+# Serving benchmark smoke test: a short output-checked perfbench
+# serve-mixed run, so every predict body and simulate result it serves
+# is compared against the program's own code path on each push. The
+# last line is the run's JSON result; it must report "correct":true.
+perfbench-smoke:
+	@out="$$(bash perfbench/run.sh --workload serve-mixed --seconds 2 --trace 1)" || exit 1; \
+	echo "$$out"; \
+	echo "$$out" | tail -n 1 | grep -q '"correct":true'
 
 # Chaos soak: 500 randomized scenario campaigns under the race detector,
 # from a fixed (spec, seed), run three times — parallel, serial, and
@@ -321,7 +236,7 @@ calibrate:
 	$(GO) test ./internal/hosts -run '^TestFittedTable$$' -update -count=1
 
 # Umbrella gate: everything CI runs.
-check: build vet fmtcheck lint test race invariants obs-smoke serve-smoke serve-scale-smoke trace-smoke scenario-smoke chaos-smoke bench-serve-json-smoke
+check: build vet fmtcheck lint test race invariants obs-smoke serve-smoke scenario-smoke perfbench-smoke chaos-smoke
 
 clean:
-	rm -rf results obs-smoke-out serve-smoke-out serve-scale-out trace-smoke-out bench-serve-out chaos-smoke-out
+	rm -rf results obs-smoke-out serve-smoke-out chaos-smoke-out .bench_build

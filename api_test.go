@@ -8,10 +8,9 @@ import (
 	"pftk/internal/core"
 )
 
-// legacyConfigs samples the SimConfig space the deprecated entry point
-// has always supported: fixed paths, both loss families, every variant
-// knob.
-var legacyConfigs = []SimConfig{
+// fixedPathConfigs samples the flat SimConfig space: fixed paths, both
+// loss families, every variant knob.
+var fixedPathConfigs = []SimConfig{
 	{RTT: 0.1, Wm: 8, Duration: 30, Seed: 1},
 	{RTT: 0.1, LossRate: 0.02, Wm: 64, Duration: 300, Seed: 7, MinRTO: 1},
 	{RTT: 0.2, LossRate: 0.01, BurstDur: 0.2, Wm: 16, Duration: 200, Seed: 5, MinRTO: 1},
@@ -19,12 +18,12 @@ var legacyConfigs = []SimConfig{
 	{RTT: 0.1, LossRate: 0.03, Wm: 32, Duration: 150, Seed: 11, Variant: "linux", AckEvery: 1},
 }
 
-// TestSimulateMatchesSim pins the deprecation contract: the old flat
-// struct and the new options surface run the same execution path and
-// produce byte-identical traces on legacy fixed-path configs.
+// TestSimulateMatchesSim pins the option mapping: Sim with options and
+// runSim on the equivalent flat config produce byte-identical traces on
+// fixed-path configs.
 func TestSimulateMatchesSim(t *testing.T) {
-	for _, c := range legacyConfigs {
-		old := Simulate(c)
+	for _, c := range fixedPathConfigs {
+		direct := runSim(c)
 		neu := Sim(
 			WithPath(c.RTT),
 			WithLoss(c.LossRate),
@@ -36,23 +35,23 @@ func TestSimulateMatchesSim(t *testing.T) {
 			WithDelayedACKs(c.AckEvery),
 			func(cc *SimConfig) { cc.BurstDur = c.BurstDur },
 		)
-		if !reflect.DeepEqual(old.Trace, neu.Trace) {
-			t.Errorf("config %+v: Simulate and Sim traces differ", c)
+		if !reflect.DeepEqual(direct.Trace, neu.Trace) {
+			t.Errorf("config %+v: runSim and Sim traces differ", c)
 		}
-		if old.Stats != neu.Stats || old.Delivered != neu.Delivered {
-			t.Errorf("config %+v: stats differ: %+v vs %+v", c, old.Stats, neu.Stats)
+		if direct.Stats != neu.Stats || direct.Delivered != neu.Delivered {
+			t.Errorf("config %+v: stats differ: %+v vs %+v", c, direct.Stats, neu.Stats)
 		}
 	}
 }
 
 // TestSimWithBurstLossOption pins WithBurstLoss against the equivalent
-// legacy config.
+// flat config.
 func TestSimWithBurstLossOption(t *testing.T) {
 	c := SimConfig{RTT: 0.2, LossRate: 0.01, BurstDur: 0.2, Wm: 16, Duration: 200, Seed: 5, MinRTO: 1}
-	old := Simulate(c)
+	direct := runSim(c)
 	neu := Sim(WithPath(0.2), WithBurstLoss(0.01, 0.2), WithWindow(16), WithDuration(200), WithSeed(5), WithMinRTO(1))
-	if !reflect.DeepEqual(old.Trace, neu.Trace) {
-		t.Error("WithBurstLoss diverges from the legacy BurstDur config")
+	if !reflect.DeepEqual(direct.Trace, neu.Trace) {
+		t.Error("WithBurstLoss diverges from the flat BurstDur config")
 	}
 }
 

@@ -198,7 +198,7 @@ func BenchmarkCorrelationStudy(b *testing.B) {
 func BenchmarkAblationTimeoutTerm(b *testing.B) {
 	var errFull, errNoTO float64
 	for i := 0; i < b.N; i++ {
-		res := Simulate(SimConfig{RTT: 0.2, LossRate: 0.05, BurstDur: 0.25, Wm: 12, MinRTO: 1, Duration: 1500, Seed: 3})
+		res := runSim(SimConfig{RTT: 0.2, LossRate: 0.05, BurstDur: 0.25, Wm: 12, MinRTO: 1, Duration: 1500, Seed: 3})
 		events := analysis.InferLossEvents(res.Trace, 3)
 		sum := analysis.Summarize(res.Trace, events)
 		ivs := analysis.Intervals(res.Trace, events, 100)
@@ -230,7 +230,7 @@ func BenchmarkAblationQHatForm(b *testing.B) {
 // 2^5 cap under heavy loss (effect on send rate).
 func BenchmarkAblationBackoffCap(b *testing.B) {
 	run := func(variant string) float64 {
-		res := Simulate(SimConfig{RTT: 0.2, LossRate: 0.15, Wm: 8, MinRTO: 1, Duration: 1000, Seed: 9, Variant: variant})
+		res := runSim(SimConfig{RTT: 0.2, LossRate: 0.15, Wm: 8, MinRTO: 1, Duration: 1000, Seed: 9, Variant: variant})
 		return res.SendRate()
 	}
 	var reno64, irix32 float64
@@ -247,7 +247,7 @@ func BenchmarkAblationBackoffCap(b *testing.B) {
 // recovery under RTT-scale loss outages.
 func BenchmarkAblationFastRecovery(b *testing.B) {
 	run := func(variant string) float64 {
-		return Simulate(SimConfig{
+		return runSim(SimConfig{
 			RTT: 0.1, LossRate: 0.004, BurstDur: 0.06, Wm: 32, MinRTO: 1,
 			Duration: 1500, Seed: 21, Variant: variant,
 		}).SendRate()
@@ -266,8 +266,8 @@ func BenchmarkAblationFastRecovery(b *testing.B) {
 func BenchmarkAblationDelayedAcks(b *testing.B) {
 	var withDel, without float64
 	for i := 0; i < b.N; i++ {
-		withDel = Simulate(SimConfig{RTT: 0.2, LossRate: 0.02, Wm: 0, MinRTO: 1, Duration: 1000, Seed: 5, AckEvery: 2}).SendRate()
-		without = Simulate(SimConfig{RTT: 0.2, LossRate: 0.02, Wm: 0, MinRTO: 1, Duration: 1000, Seed: 5, AckEvery: 1}).SendRate()
+		withDel = runSim(SimConfig{RTT: 0.2, LossRate: 0.02, Wm: 0, MinRTO: 1, Duration: 1000, Seed: 5, AckEvery: 2}).SendRate()
+		without = runSim(SimConfig{RTT: 0.2, LossRate: 0.02, Wm: 0, MinRTO: 1, Duration: 1000, Seed: 5, AckEvery: 1}).SendRate()
 	}
 	b.ReportMetric(without/withDel, "b1-over-b2-speedup")
 }
@@ -384,7 +384,7 @@ func BenchmarkRoundsimTDP(b *testing.B) {
 // BenchmarkSimulatedSecond measures simulator throughput: one simulated
 // second of a saturated 2%-loss connection per iteration.
 func BenchmarkSimulatedSecond(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 32, MinRTO: 1, Duration: float64(b.N), Seed: 11})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 32, MinRTO: 1, Duration: float64(b.N), Seed: 11})
 	if res.Stats.TotalSent() == 0 {
 		b.Fatal("no traffic")
 	}
@@ -439,7 +439,7 @@ func BenchmarkMultiFlow10(b *testing.B)  { benchMultiFlow(b, 10) }
 func BenchmarkMultiFlow100(b *testing.B) { benchMultiFlow(b, 100) }
 
 func BenchmarkTraceEncode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
 	tr := res.Trace
 	b.SetBytes(int64(len(tr) * 33))
 	b.ResetTimer()
@@ -452,7 +452,7 @@ func BenchmarkTraceEncode(b *testing.B) {
 }
 
 func BenchmarkTraceDecode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
 	var buf bytes.Buffer
 	if err := trace.Encode(&buf, res.Trace); err != nil {
 		b.Fatal(err)
@@ -468,7 +468,7 @@ func BenchmarkTraceDecode(b *testing.B) {
 }
 
 func BenchmarkInferLossEvents(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.InferLossEvents(res.Trace, 3)
@@ -476,7 +476,7 @@ func BenchmarkInferLossEvents(b *testing.B) {
 }
 
 func BenchmarkKarnRTTSamples(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.KarnRTTSamples(res.Trace)
@@ -484,7 +484,7 @@ func BenchmarkKarnRTTSamples(b *testing.B) {
 }
 
 func BenchmarkTcpdumpEncode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
@@ -495,7 +495,7 @@ func BenchmarkTcpdumpEncode(b *testing.B) {
 }
 
 func BenchmarkTcpdumpDecode(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 60, Seed: 1})
 	var buf bytes.Buffer
 	if err := trace.EncodeTcpdump(&buf, res.Trace); err != nil {
 		b.Fatal(err)
@@ -511,7 +511,7 @@ func BenchmarkTcpdumpDecode(b *testing.B) {
 }
 
 func BenchmarkFlightSeries(b *testing.B) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, MinRTO: 1, Duration: 600, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		analysis.FlightSeries(res.Trace)

@@ -22,16 +22,6 @@
 //
 //	go test -run '^$' -bench 'BenchmarkSimulatedSecond$' -benchmem \
 //	    -benchtime 100000x . | benchjson -check -baseline BENCH_sim.json
-//
-// The two flags compose: `-serve -check` validates a pftkload -json
-// report (successful traffic, latency quantiles present) and, with
-// -baseline, additionally requires the committed serving baseline file
-// to parse and to hold a recorded serve entry under every -require
-// label — CI's regression gate that BENCH_serve.json stays comparable
-// against what the load pipeline produces today:
-//
-//	pftkload -url $url -c 8 -n 500 -json \
-//	    | benchjson -serve -check -baseline BENCH_serve.json -require current
 package main
 
 import (
@@ -42,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -64,131 +53,6 @@ type Baseline struct {
 	Date       string             `json:"date,omitempty"`
 	Note       string             `json:"note,omitempty"`
 	Benchmarks map[string]*Result `json:"benchmarks,omitempty"`
-	// Serve is the serving-latency baseline recorded with -serve from a
-	// pftkload -json report (BENCH_serve.json entries).
-	Serve *ServeResult `json:"serve,omitempty"`
-}
-
-// ServeResult is the committed serving baseline: achieved rate plus the
-// client-observed latency quantiles and the server-reported
-// queue/service split.
-type ServeResult struct {
-	Mode              string  `json:"mode"`
-	Concurrency       int     `json:"concurrency"`
-	Requests          int     `json:"requests"`
-	ReqPerSec         float64 `json:"req_per_sec"`
-	P50Seconds        float64 `json:"p50_seconds"`
-	P99Seconds        float64 `json:"p99_seconds"`
-	QueueP50Seconds   float64 `json:"queue_p50_seconds,omitempty"`
-	QueueP99Seconds   float64 `json:"queue_p99_seconds,omitempty"`
-	ServiceP50Seconds float64 `json:"service_p50_seconds,omitempty"`
-	ServiceP99Seconds float64 `json:"service_p99_seconds,omitempty"`
-}
-
-// loadQuantiles mirrors pftkload's quantile summary.
-type loadQuantiles struct {
-	P50 float64 `json:"p50"`
-	P99 float64 `json:"p99"`
-}
-
-// loadReport is the subset of the pftkload -json report benchjson
-// records.
-type loadReport struct {
-	Mode           string         `json:"mode"`
-	Concurrency    int            `json:"concurrency"`
-	Requests       int            `json:"requests"`
-	ReqPerSec      float64        `json:"req_per_sec"`
-	Status2xx      int            `json:"status_2xx"`
-	LatencySeconds *loadQuantiles `json:"latency_seconds"`
-	QueueSeconds   *loadQuantiles `json:"queue_seconds"`
-	ServiceSeconds *loadQuantiles `json:"service_seconds"`
-}
-
-// parseServe reads one pftkload -json report and reduces it to the
-// committed ServeResult, rejecting reports with no successful traffic —
-// a baseline of failures is worse than no baseline.
-func parseServe(r io.Reader) (*ServeResult, error) {
-	var rep loadReport
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("stdin is not a pftkload -json report: %w", err)
-	}
-	if rep.Status2xx == 0 {
-		return nil, fmt.Errorf("report has no successful responses (%d requests); refusing to record it", rep.Requests)
-	}
-	if rep.LatencySeconds == nil {
-		return nil, fmt.Errorf("report carries no latency quantiles")
-	}
-	sr := &ServeResult{
-		Mode:        rep.Mode,
-		Concurrency: rep.Concurrency,
-		Requests:    rep.Requests,
-		ReqPerSec:   rep.ReqPerSec,
-		P50Seconds:  rep.LatencySeconds.P50,
-		P99Seconds:  rep.LatencySeconds.P99,
-	}
-	if q := rep.QueueSeconds; q != nil {
-		sr.QueueP50Seconds, sr.QueueP99Seconds = q.P50, q.P99
-	}
-	if q := rep.ServiceSeconds; q != nil {
-		sr.ServiceP50Seconds, sr.ServiceP99Seconds = q.P50, q.P99
-	}
-	return sr, nil
-}
-
-// checkServeBaseline validates the committed serving baseline file: it
-// must parse into the baseline schema, and every label named in require
-// must hold a recorded serve entry with real traffic and ordered
-// latency quantiles. Together with the stream validation in parseServe
-// this is the CI regression gate for BENCH_serve.json: the load
-// pipeline still emits comparable reports, and the committed numbers
-// are still something a fresh run can be compared against.
-//
-// With gateFrac > 0 the gate also compares performance: against every
-// required label whose entry matches the live report's mode and
-// concurrency, the live run must achieve at least gateFrac of the
-// committed throughput and stay within 1/gateFrac of the committed p99.
-// The slack absorbs machine-to-machine variance (CI runners are not the
-// recording machine) while still catching the collapse a real
-// regression causes.
-func checkServeBaseline(path, require string, live *ServeResult, gateFrac float64) error {
-	if path == "" {
-		return nil
-	}
-	f, err := readFile(path)
-	if err != nil {
-		return err
-	}
-	for _, label := range strings.Split(require, ",") {
-		label = strings.TrimSpace(label)
-		if label == "" {
-			continue
-		}
-		b := f.Baselines[label]
-		if b == nil || b.Serve == nil {
-			return fmt.Errorf("%s: baseline %q has no recorded serve entry", path, label)
-		}
-		sr := b.Serve
-		if sr.Requests <= 0 || sr.ReqPerSec <= 0 {
-			return fmt.Errorf("%s: baseline %q records no traffic (requests=%d, req/s=%g)",
-				path, label, sr.Requests, sr.ReqPerSec)
-		}
-		if sr.P50Seconds <= 0 || sr.P99Seconds < sr.P50Seconds {
-			return fmt.Errorf("%s: baseline %q has inconsistent latency quantiles (p50=%g, p99=%g)",
-				path, label, sr.P50Seconds, sr.P99Seconds)
-		}
-		if gateFrac > 0 && live != nil && sr.Mode == live.Mode && sr.Concurrency == live.Concurrency {
-			if live.ReqPerSec < gateFrac*sr.ReqPerSec {
-				return fmt.Errorf("%s: throughput regression against %q: live %.1f req/s < %.0f%% of committed %.1f req/s",
-					path, label, live.ReqPerSec, gateFrac*100, sr.ReqPerSec)
-			}
-			if live.P99Seconds > sr.P99Seconds/gateFrac {
-				return fmt.Errorf("%s: p99 regression against %q: live %.6fs > committed %.6fs / %.2f",
-					path, label, live.P99Seconds, sr.P99Seconds, gateFrac)
-			}
-		}
-	}
-	return nil
 }
 
 // checkZeroAllocs is the allocation gate against a committed
@@ -386,9 +250,6 @@ func mergeFile(path, label string, b *Baseline, e env) error {
 				b.Benchmarks[name] = r
 			}
 		}
-		if b.Serve == nil {
-			b.Serve = prev.Serve
-		}
 	}
 	f.Baselines[label] = b
 	out, err := json.MarshalIndent(f, "", "  ")
@@ -412,52 +273,10 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		label    = fs.String("label", "current", "baseline label to record the results under (with -check -baseline: the label to gate against)")
 		note     = fs.String("note", "", "free-text note stored with the baseline")
 		check    = fs.Bool("check", false, "validate the stream instead of recording it")
-		require  = fs.String("require", "", "comma-separated names that must be present (with -check): benchmark names, or baseline labels with -serve")
-		serve    = fs.Bool("serve", false, "read a pftkload -json report instead of go test -bench output (BENCH_serve.json)")
-		baseline = fs.String("baseline", "", "with -check: committed baseline file; with -serve it must hold the -require serve labels, otherwise every benchmark it records at 0 allocs/op under -label must still allocate nothing")
-		gateFrac = fs.Float64("gatefrac", 0, "with -serve -check -baseline: live run must reach this fraction of the committed throughput (and 1/frac of committed p99) for matching mode+concurrency labels; 0 disables")
+		require  = fs.String("require", "", "comma-separated benchmark names that must be present (with -check)")
+		baseline = fs.String("baseline", "", "with -check: committed baseline file; every benchmark it records at 0 allocs/op under -label must still allocate nothing")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *serve {
-		sr, err := parseServe(in)
-		if err != nil {
-			return err
-		}
-		if *check {
-			if *gateFrac < 0 || *gateFrac > 1 {
-				return fmt.Errorf("-gatefrac must be in [0, 1], got %g", *gateFrac)
-			}
-			if err := checkServeBaseline(*baseline, *require, sr, *gateFrac); err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(out, "ok serve: mode=%s c=%d n=%d, %.1f req/s, p50 %.6fs, p99 %.6fs\n",
-				sr.Mode, sr.Concurrency, sr.Requests, sr.ReqPerSec, sr.P50Seconds, sr.P99Seconds)
-			return err
-		}
-		b := &Baseline{
-			Date:  time.Now().UTC().Format("2006-01-02"),
-			Note:  *note,
-			Serve: sr,
-		}
-		e := env{goos: runtime.GOOS, goarch: runtime.GOARCH}
-		if *outFile == "" {
-			data, err := json.MarshalIndent(&File{
-				GOOS: e.goos, GOARCH: e.goarch,
-				Baselines: map[string]*Baseline{*label: b},
-			}, "", "  ")
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(out, "%s\n", data)
-			return err
-		}
-		if err := mergeFile(*outFile, *label, b, e); err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(out, "benchjson: recorded serving baseline (%.1f req/s, p50 %.6fs, p99 %.6fs) under %q in %s\n",
-			sr.ReqPerSec, sr.P50Seconds, sr.P99Seconds, *label, *outFile)
 		return err
 	}
 	raw, e, err := parse(in)

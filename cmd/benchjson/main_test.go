@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -241,114 +240,5 @@ func TestCorruptBaselineFileIsAnError(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-o", path}, strings.NewReader(sampleBench), &out); err == nil {
 		t.Error("expected an error merging into a corrupt baseline file")
-	}
-}
-
-// TestServeModeRecordsBaseline folds a pftkload -json report into a
-// BENCH_serve.json baseline file and checks the recorded shape.
-func TestServeModeRecordsBaseline(t *testing.T) {
-	in := strings.NewReader(`{
-		"target": "http://127.0.0.1:1/v1/predict",
-		"mode": "predict", "concurrency": 8, "requests": 100,
-		"seconds": 2.0, "req_per_sec": 50,
-		"status_2xx": 100,
-		"latency_seconds": {"p50": 0.002, "p90": 0.004, "p95": 0.005, "p99": 0.009, "max": 0.02},
-		"queue_seconds": {"p50": 0.0001, "p99": 0.001},
-		"service_seconds": {"p50": 0.0015, "p99": 0.007}
-	}`)
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	var out bytes.Buffer
-	if err := run([]string{"-serve", "-o", path, "-label", "initial"}, in, &out); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		t.Fatal(err)
-	}
-	sr := f.Baselines["initial"].Serve
-	if sr == nil {
-		t.Fatalf("no serve baseline recorded: %s", data)
-	}
-	if sr.ReqPerSec != 50 || sr.P50Seconds != 0.002 || sr.P99Seconds != 0.009 {
-		t.Errorf("serve baseline = %+v", sr)
-	}
-	if sr.QueueP99Seconds != 0.001 || sr.ServiceP50Seconds != 0.0015 {
-		t.Errorf("queue/service split lost: %+v", sr)
-	}
-
-	// A report with no successes must be refused.
-	bad := strings.NewReader(`{"requests": 5, "status_2xx": 0, "latency_seconds": {"p50": 1, "p99": 1}}`)
-	if err := run([]string{"-serve", "-o", path}, bad, &out); err == nil {
-		t.Error("all-failure report was recorded")
-	}
-}
-
-const sampleLoadReport = `{
-	"mode": "predict", "concurrency": 8, "requests": 100,
-	"req_per_sec": 50, "status_2xx": 100,
-	"latency_seconds": {"p50": 0.002, "p99": 0.009}
-}`
-
-// TestServeCheckMode exercises the CI regression gate for
-// BENCH_serve.json: a healthy pftkload report plus a committed baseline
-// with the required serve label passes; a stream of failures, a missing
-// label, or a degenerate committed entry each fail with a pointed
-// error.
-func TestServeCheckMode(t *testing.T) {
-	dir := t.TempDir()
-	writeBaseline := func(name, content string) string {
-		t.Helper()
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	good := writeBaseline("good.json", `{"baselines": {"current": {"serve": {
-		"mode": "predict", "concurrency": 8, "requests": 5000,
-		"req_per_sec": 5000, "p50_seconds": 0.001, "p99_seconds": 0.005}}}}`)
-
-	var out bytes.Buffer
-	err := run([]string{"-serve", "-check", "-baseline", good, "-require", "current"},
-		strings.NewReader(sampleLoadReport), &out)
-	if err != nil {
-		t.Fatalf("healthy report + good baseline should pass: %v", err)
-	}
-	if !strings.Contains(out.String(), "ok serve:") {
-		t.Errorf("check output = %q", out.String())
-	}
-
-	// Stream validation still applies in check mode.
-	dead := strings.NewReader(`{"requests": 5, "status_2xx": 0, "latency_seconds": {"p50": 1, "p99": 1}}`)
-	if err := run([]string{"-serve", "-check", "-baseline", good, "-require", "current"}, dead, &out); err == nil {
-		t.Error("all-failure report passed the serve check")
-	}
-
-	cases := []struct {
-		name, file, want string
-	}{
-		{"missing label", `{"baselines": {}}`, "no recorded serve entry"},
-		{"bench-only label", `{"baselines": {"current": {"benchmarks": {}}}}`, "no recorded serve entry"},
-		{"zero traffic", `{"baselines": {"current": {"serve": {
-			"mode": "predict", "requests": 0, "req_per_sec": 0,
-			"p50_seconds": 0.001, "p99_seconds": 0.005}}}}`, "records no traffic"},
-		{"inverted quantiles", `{"baselines": {"current": {"serve": {
-			"mode": "predict", "requests": 100, "req_per_sec": 50,
-			"p50_seconds": 0.005, "p99_seconds": 0.001}}}}`, "inconsistent latency quantiles"},
-		{"corrupt file", `{not json`, "not valid baseline JSON"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			path := writeBaseline(strings.ReplaceAll(tc.name, " ", "-")+".json", tc.file)
-			err := run([]string{"-serve", "-check", "-baseline", path, "-require", "current"},
-				strings.NewReader(sampleLoadReport), &out)
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("err = %v, want substring %q", err, tc.want)
-			}
-		})
 	}
 }

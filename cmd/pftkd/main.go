@@ -8,7 +8,7 @@
 //
 //	pftkd -addr 127.0.0.1:8080
 //	pftkd -addr 127.0.0.1:0 -addrfile /tmp/pftkd.addr -workers 8
-//	pftkd -addr 127.0.0.1:8080 -listeners 4
+//	pftkd -addr 127.0.0.1:8080 -accesslog /var/log/pftkd.log
 //	curl -d '{"p":0.02,"rtt":0.2,"t0":2.0,"wm":12}' http://127.0.0.1:8080/v1/predict
 package main
 
@@ -53,7 +53,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		queue     = fs.Int("queue", 256, "job queue depth; a full queue sheds load with 429")
 		cache     = fs.Int("cache", 4096, "result cache entries")
 		maxBatch  = fs.Int("maxbatch", 1024, "maximum points per predict batch request")
-		listeners = fs.Int("listeners", 1, "accept paths on -addr (SO_REUSEPORT where available, else a shard-by-hash accept loop)")
 		debug     = fs.String("debugaddr", "", "serve expvar and pprof on this address (e.g. :0)")
 		trace     = fs.Bool("trace", true, "record request spans and serve /debug/tracez")
 		tracecap  = fs.Int("tracecap", 4096, "spans retained across the trace ring")
@@ -80,10 +79,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if *maxBatch < 1 {
 		return fmt.Errorf("-maxbatch must be positive, got %d", *maxBatch)
 	}
-	if *listeners < 1 {
-		return fmt.Errorf("-listeners must be positive, got %d", *listeners)
-	}
-
 	if *tracecap < 1 {
 		return fmt.Errorf("-tracecap must be positive, got %d", *tracecap)
 	}
@@ -128,31 +123,26 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		Tracer:       tracer,
 		AccessLog:    logw,
 	})
-	lns, lmode, err := listenAll(*addr, *listeners)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	bound := lns[0].Addr().String()
+	bound := ln.Addr().String()
 	if *addrfile != "" {
 		if err := os.WriteFile(*addrfile, []byte(bound), 0o644); err != nil {
-			closeAll(lns)
+			_ = ln.Close()
 			return err
 		}
 	}
 	w.Printf("pftkd %s listening on http://%s\n", obs.BuildVersion(), bound)
-	if len(lns) > 1 {
-		w.Printf("  %d listeners (%s)\n", len(lns), lmode)
-	}
 	if err := w.Err(); err != nil {
-		closeAll(lns)
+		_ = ln.Close()
 		return err
 	}
 
 	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 5 * time.Second}
-	errc := make(chan error, len(lns))
-	for _, ln := range lns {
-		go func(l net.Listener) { errc <- hs.Serve(l) }(ln)
-	}
+	errc := make(chan error, 1)
+	go func() { errc <- hs.Serve(ln) }()
 
 	select {
 	case err := <-errc:
@@ -165,10 +155,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err := hs.Shutdown(shutdownCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
 	}
-	for range lns {
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
+	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
+		return err
 	}
 	// With the listener closed and handlers done, drain the job queue so
 	// every accepted simulation reaches a terminal state.

@@ -26,7 +26,6 @@ func TestFlagValidation(t *testing.T) {
 		{"negative queue", []string{"-queue", "-8"}, "-queue must be"},
 		{"zero cache", []string{"-cache", "0"}, "-cache must be"},
 		{"zero maxbatch", []string{"-maxbatch", "0"}, "-maxbatch must be"},
-		{"zero listeners", []string{"-listeners", "0"}, "-listeners must be"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -91,8 +91,7 @@ func quantileSetOf(vs []float64) (quantileSet, bool) {
 	}, true
 }
 
-// report is the machine-readable run summary emitted by -json and
-// consumed by `benchjson -serve` to maintain BENCH_serve.json.
+// report is the machine-readable run summary emitted by -json.
 type report struct {
 	Target          string       `json:"target"`
 	Mode            string       `json:"mode"`

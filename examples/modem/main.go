@@ -22,10 +22,10 @@ import (
 
 func main() {
 	// Wide-area reference path: constant propagation delay.
-	wan := pftk.Simulate(pftk.SimConfig{
-		RTT: 0.2, LossRate: 0.02, Wm: 22, MinRTO: 1.0,
-		Duration: 1800, Seed: 1,
-	})
+	wan := pftk.Sim(
+		pftk.WithPath(0.2), pftk.WithLoss(0.02), pftk.WithWindow(22), pftk.WithMinRTO(1.0),
+		pftk.WithDuration(1800), pftk.WithSeed(1),
+	)
 	fmt.Println("wide-area path (propagation-dominated):")
 	report(wan.Trace, wan.Result, 22)
 

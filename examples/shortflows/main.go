@@ -30,10 +30,10 @@ func main() {
 
 	for _, n := range []int{1, 10, 50, 200, 1000, 5000, 20000} {
 		model := pftk.ShortFlowTime(n, loss, params)
-		sim := pftk.SimulateTransfer(pftk.SimConfig{
-			RTT: rtt, LossRate: loss, Wm: 64, MinRTO: 1,
-			Seed: uint64(n),
-		}, n, 7200)
+		sim := pftk.Sim(
+			pftk.WithPath(rtt), pftk.WithLoss(loss), pftk.WithWindow(64), pftk.WithMinRTO(1),
+			pftk.WithSeed(uint64(n)), pftk.WithTransfer(n, 7200),
+		).TransferTime
 		rate := pftk.ShortFlowRate(n, loss, params)
 		fmt.Printf("%-10d %14.2f %14.2f %14.1f %11.0f%%\n",
 			n, model, sim, rate, 100*rate/steady)

@@ -55,10 +55,10 @@ func main() {
 	fmt.Println("sanity: a flow pacing itself with FriendlyRate matches a real")
 	fmt.Println("TCP connection simulated under the same loss process:")
 	for _, p := range []float64{0.01, 0.04} {
-		res := pftk.Simulate(pftk.SimConfig{
-			RTT: 0.15, LossRate: p, Wm: 32, MinRTO: 1.2,
-			Duration: 2000, Seed: uint64(p * 1e4),
-		})
+		res := pftk.Sim(
+			pftk.WithPath(0.15), pftk.WithLoss(p), pftk.WithWindow(32), pftk.WithMinRTO(1.2),
+			pftk.WithDuration(2000), pftk.WithSeed(uint64(p*1e4)),
+		)
 		sum := pftk.Analyze(res.Trace)
 		fair := pftk.FriendlyRate(sum.P, params)
 		fmt.Printf("  loss %.2f: simulated TCP %.1f pkts/s, controller target %.1f pkts/s (ratio %.2f)\n",

@@ -5,26 +5,14 @@ import (
 	"sync"
 )
 
-// logSink serializes access-log lines with group commit. The old design
-// held one global mutex across formatting *and* the io.Writer call, so
-// every request queued on the slowest part of logging; here lines are
-// formatted by the requesting goroutine with no lock held, appended to a
-// shared buffer under a short mutex, and written outside it. Under
-// contention concurrent requests piggyback on whichever goroutine holds
-// the flush lock — many lines leave in one Write — while append still
-// returns only after its line has reached w, preserving the synchronous
-// durability the smoke tests rely on (the file is complete the moment
+// logSink serializes access-log lines onto one writer. Lines are
+// formatted by the requesting goroutine with no lock held; the mutex
+// covers only the Write, so each line reaches w whole and append returns
+// only after its line has been written (the file is complete the moment
 // the response is on the wire).
 type logSink struct {
-	w io.Writer // not assumed concurrency-safe; flushMu serializes writes
-
 	mu sync.Mutex
-	//pftk:guardedby mu
-	buf []byte
-
-	flushMu sync.Mutex
-	//pftk:guardedby flushMu
-	spare []byte // previous buf, being (or about to be) written
+	w  io.Writer // not assumed concurrency-safe; mu serializes writes
 }
 
 // newLogSink returns a sink over w, or nil (a no-op sink) for nil w.
@@ -35,31 +23,12 @@ func newLogSink(w io.Writer) *logSink {
 	return &logSink{w: w}
 }
 
-// append queues one preformatted line (terminator included) and returns
-// after it has been flushed to the writer — by this goroutine or by a
-// concurrent flusher that swept the buffer first.
+// append writes one preformatted line (terminator included).
 func (s *logSink) append(line []byte) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.buf = append(s.buf, line...)
+	_, _ = s.w.Write(line)
 	s.mu.Unlock()
-	s.flush()
-}
-
-// flush writes everything buffered so far. The buffer swap happens under
-// mu, the Write under flushMu only — appenders never block on I/O, and
-// flushers leaving the critical section guarantee any line appended
-// before their swap is durable.
-func (s *logSink) flush() {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	s.buf, s.spare = s.spare[:0], s.buf
-	s.mu.Unlock()
-	if len(s.spare) == 0 {
-		return
-	}
-	_, _ = s.w.Write(s.spare)
 }

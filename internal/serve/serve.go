@@ -18,8 +18,7 @@
 // by a canonical request hash: requests are normalized (defaults filled,
 // model lists sorted) before hashing, and simulations are seeded and
 // deterministic, so a cache hit is exact and a resubmitted simulation
-// returns the identical result without re-running. Identical in-flight
-// simulations are coalesced onto one run.
+// returns the identical result without re-running.
 package serve
 
 import (
@@ -50,9 +49,6 @@ type Config struct {
 	// CacheEntries bounds each result LRU (predictions and simulations
 	// are cached separately); default 4096.
 	CacheEntries int
-	// CacheShards is the shard count of each result LRU, rounded up to a
-	// power of two; default a few shards per core.
-	CacheShards int
 	// MaxBatch bounds the number of points in one predict batch;
 	// default 1024.
 	MaxBatch int
@@ -89,9 +85,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries < 1 {
 		c.CacheEntries = 4096
 	}
-	if c.CacheShards < 1 {
-		c.CacheShards = defaultCacheShards()
-	}
 	if c.MaxBatch < 1 {
 		c.MaxBatch = 1024
 	}
@@ -118,7 +111,6 @@ type Server struct {
 	pool      *workpool.Pool
 	predCache *shardedLRU[[]byte] // encoded single-point bodies
 	simCache  *shardedLRU[SimulateResult]
-	simflight *simFlights
 	jobs      *jobStore
 	mux       *http.ServeMux
 	log       *logSink
@@ -126,24 +118,23 @@ type Server struct {
 	// evaluating counts predict requests admitted and not yet done.
 	evaluating atomic.Int64
 
-	// reqSeq numbers requests that arrive without an X-Request-Id.
+	// reqSeq numbers requests that arrive without a usable X-Request-Id.
 	reqSeq atomic.Uint64
 
 	// Metric handles; all nil (free no-ops) without a registry.
-	mRequests      *obs.Counter
-	m2xx, m4xx     *obs.Counter
-	m5xx           *obs.Counter
-	mRejected      *obs.Counter
-	mLatency       *obs.Histogram
-	mQueueDepth    *obs.Gauge
-	mCacheHits     *obs.Counter
-	mCacheMisses   *obs.Counter
-	mPredictPts    *obs.Counter
-	mEvals         *obs.Counter
-	mJobsSub       *obs.Counter
-	mJobsDone      *obs.Counter
-	mJobsFailed    *obs.Counter
-	mJobsCoalesced *obs.Counter
+	mRequests    *obs.Counter
+	m2xx, m4xx   *obs.Counter
+	m5xx         *obs.Counter
+	mRejected    *obs.Counter
+	mLatency     *obs.Histogram
+	mQueueDepth  *obs.Gauge
+	mCacheHits   *obs.Counter
+	mCacheMisses *obs.Counter
+	mPredictPts  *obs.Counter
+	mEvals       *obs.Counter
+	mJobsSub     *obs.Counter
+	mJobsDone    *obs.Counter
+	mJobsFailed  *obs.Counter
 }
 
 // New returns a ready-to-serve Server. Callers must Close it to drain
@@ -154,28 +145,26 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:       cfg,
 		pool:      workpool.New(cfg.Workers, cfg.QueueDepth),
-		predCache: newShardedLRU[[]byte](cfg.CacheEntries, cfg.CacheShards),
-		simCache:  newShardedLRU[SimulateResult](cfg.CacheEntries, cfg.CacheShards),
-		simflight: newSimFlights(),
+		predCache: newShardedLRU[[]byte](cfg.CacheEntries, defaultCacheShards()),
+		simCache:  newShardedLRU[SimulateResult](cfg.CacheEntries, defaultCacheShards()),
 		jobs:      newJobStore(cfg.MaxJobs),
 		mux:       http.NewServeMux(),
 		log:       newLogSink(cfg.AccessLog),
 
-		mRequests:      reg.Counter("serve.http.requests"),
-		m2xx:           reg.Counter("serve.http.responses.2xx"),
-		m4xx:           reg.Counter("serve.http.responses.4xx"),
-		m5xx:           reg.Counter("serve.http.responses.5xx"),
-		mRejected:      reg.Counter("serve.http.rejected"),
-		mLatency:       reg.Histogram("serve.http.latency.seconds", latencyBuckets),
-		mQueueDepth:    reg.Gauge("serve.queue.depth"),
-		mCacheHits:     reg.Counter("serve.cache.hits"),
-		mCacheMisses:   reg.Counter("serve.cache.misses"),
-		mPredictPts:    reg.Counter("serve.predict.points"),
-		mEvals:         reg.Counter("serve.predict.evals"),
-		mJobsSub:       reg.Counter("serve.jobs.submitted"),
-		mJobsDone:      reg.Counter("serve.jobs.completed"),
-		mJobsFailed:    reg.Counter("serve.jobs.failed"),
-		mJobsCoalesced: reg.Counter("serve.jobs.coalesced"),
+		mRequests:    reg.Counter("serve.http.requests"),
+		m2xx:         reg.Counter("serve.http.responses.2xx"),
+		m4xx:         reg.Counter("serve.http.responses.4xx"),
+		m5xx:         reg.Counter("serve.http.responses.5xx"),
+		mRejected:    reg.Counter("serve.http.rejected"),
+		mLatency:     reg.Histogram("serve.http.latency.seconds", latencyBuckets),
+		mQueueDepth:  reg.Gauge("serve.queue.depth"),
+		mCacheHits:   reg.Counter("serve.cache.hits"),
+		mCacheMisses: reg.Counter("serve.cache.misses"),
+		mPredictPts:  reg.Counter("serve.predict.points"),
+		mEvals:       reg.Counter("serve.predict.evals"),
+		mJobsSub:     reg.Counter("serve.jobs.submitted"),
+		mJobsDone:    reg.Counter("serve.jobs.completed"),
+		mJobsFailed:  reg.Counter("serve.jobs.failed"),
 	}
 	s.pool.SetTracer(cfg.Tracer)
 	if cfg.Tracer != nil {
@@ -216,13 +205,29 @@ func (w *statusWriter) WriteHeader(code int) {
 // bounded.
 const maxRequestIDLen = 128
 
-// requestID returns the caller's X-Request-Id when usable, or assigns
-// the next server-generated ID.
+// requestID returns the caller's X-Request-Id when it is a plain token
+// of bounded length, or assigns the next server-generated ID. Any other
+// value could inject fields or lines into the access log.
 func (s *Server) requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" && len(id) <= maxRequestIDLen {
+	if id := r.Header.Get("X-Request-Id"); len(id) <= maxRequestIDLen && plainToken(id) {
 		return id
 	}
 	return fmt.Sprintf("req-%08d", s.reqSeq.Add(1))
+}
+
+// plainToken reports whether v is non-empty visible ASCII with no space,
+// '"' or '=': a value that reads as exactly one key=value field of a
+// log line.
+func plainToken(v string) bool {
+	if v == "" {
+		return false
+	}
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c <= ' ' || c > '~' || c == '"' || c == '=' {
+			return false
+		}
+	}
+	return true
 }
 
 // routeName maps a request to its bounded span name: the method plus
@@ -275,7 +280,9 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // accessLog writes the request's structured log line, if logging is
 // configured. The queue/service split is read back from the response
 // headers the handlers set, so the log agrees with what the client saw.
-// The line is formatted here, lock-free, and handed to the sink.
+// The line is formatted here, lock-free, and handed to the sink. The
+// decoded path is the caller's text, so it is quoted unless it is a
+// plain token.
 func (s *Server) accessLog(r *http.Request, sw *statusWriter, reqID string, elapsed float64, root *tracez.Span) {
 	if s.log == nil {
 		return
@@ -288,8 +295,12 @@ func (s *Server) accessLog(r *http.Request, sw *statusWriter, reqID string, elap
 	if q := sw.Header().Get("X-Queue-Seconds"); q != "" {
 		split = fmt.Sprintf(" queue_seconds=%s service_seconds=%s", q, sw.Header().Get("X-Service-Seconds"))
 	}
+	path := r.URL.Path
+	if !plainToken(path) {
+		path = strconv.Quote(path)
+	}
 	line := fmt.Appendf(nil, "request_id=%s method=%s path=%s status=%d duration_seconds=%.6f%s%s\n",
-		reqID, r.Method, r.URL.Path, sw.code, elapsed, split, trace)
+		reqID, r.Method, path, sw.code, elapsed, split, trace)
 	s.log.append(line)
 }
 
@@ -528,9 +539,7 @@ func (s *Server) evaluate(reqs []PredictRequest, keys []cacheKey, misses []int, 
 
 // handleSimulate admits one simulation job. Cache hits complete
 // immediately (200, status done, cached true); misses are queued on the
-// worker pool (202) and polled via /v1/jobs/{id}; a miss identical to an
-// in-flight simulation is coalesced — it gets its own job ID but rides
-// the running evaluation (202, no extra worker); a full queue is 429.
+// worker pool (202) and polled via /v1/jobs/{id}; a full queue is 429.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	root := tracez.FromContext(r.Context())
 	reqID := r.Header.Get("X-Request-Id")
@@ -561,17 +570,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	cacheSp.End()
 	seq := s.jobs.create(req, reqID)
 	job, _ := s.jobs.snapshot(seq)
-	if !s.simflight.join(key, seq) {
-		// An identical simulation is already running; this job completes
-		// from the leader's result without occupying a worker.
-		s.mJobsCoalesced.Inc()
-		s.mJobsSub.Inc()
-		adm := root.StartChild("admission")
-		adm.SetAttr("coalesced", "true")
-		adm.End()
-		writeJSON(w, http.StatusAccepted, job)
-		return
-	}
 	submittedTrace := s.cfg.Tracer.NowSeconds()
 	adm := root.StartChild("admission")
 	// The job outlives the handler: its spans hang off the (by then
@@ -583,16 +581,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.jobs.setRunning(seq)
 		qsp := traceRef.StartChildAt("queue-wait", submittedTrace)
 		qsp.End()
-		// A fresh leader can race an identical just-finished run (the
-		// flight clears after the cache put); re-checking here turns that
-		// into a free completion instead of a duplicate simulation.
+		// An identical job may have finished while this one was queued;
+		// re-checking here turns that into a free completion instead of a
+		// duplicate simulation.
 		if v, ok := s.simCache.get(key); ok {
 			s.jobs.finish(seq, v, true)
 			s.mJobsDone.Inc()
-			for _, id := range s.simflight.take(key) {
-				s.jobs.finish(id, v, true)
-				s.mJobsDone.Inc()
-			}
 			return
 		}
 		esp := traceRef.StartChild("eval")
@@ -602,10 +596,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			esp.End()
 			s.jobs.fail(seq, err.Error())
 			s.mJobsFailed.Inc()
-			for _, id := range s.simflight.take(key) {
-				s.jobs.fail(id, err.Error())
-				s.mJobsFailed.Inc()
-			}
 			s.logSimFailure(job.ID, err, dump)
 			return
 		}
@@ -613,20 +603,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.simCache.put(key, res)
 		s.jobs.finish(seq, res, false)
 		s.mJobsDone.Inc()
-		for _, id := range s.simflight.take(key) {
-			s.jobs.finish(id, res, true)
-			s.mJobsDone.Inc()
-		}
 	})
 	if !accepted {
 		adm.SetError("queue full")
 		adm.End()
 		s.jobs.fail(seq, "rejected: queue full")
 		s.mJobsFailed.Inc()
-		for _, id := range s.simflight.take(key) {
-			s.jobs.fail(id, "rejected: queue full")
-			s.mJobsFailed.Inc()
-		}
 		s.rejectOverload(w)
 		return
 	}

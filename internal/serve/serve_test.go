@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -274,6 +275,66 @@ func TestSimulateJobLifecycleAndExactCache(t *testing.T) {
 	rec3 := postJSON(s, "/v1/simulate", `{"loss_rate":0.02,"duration":5,"seed":43}`)
 	if rec3.Code != http.StatusAccepted {
 		t.Fatalf("different-seed submit status %d, want 202", rec3.Code)
+	}
+}
+
+// TestIdenticalSimulationsGetOwnJobs submits K identical simulations
+// concurrently: every request gets its own job ID, and every job
+// reaches done with the same result. Each job is counted once, either
+// as a completed worker job or as an admission-time cache hit.
+func TestIdenticalSimulationsGetOwnJobs(t *testing.T) {
+	const k = 8
+	s, reg := newTestServer(t, Config{Workers: 1, QueueDepth: 16})
+	const body = `{"rtt":0.1,"loss_rate":0.02,"duration":2.0,"seed":7}`
+	ids := make([]string, k)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			rec := postJSON(s, "/v1/simulate", body)
+			if rec.Code != http.StatusOK && rec.Code != http.StatusAccepted {
+				t.Errorf("status %d: %s", rec.Code, rec.Body)
+				return
+			}
+			var job Job
+			if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil {
+				t.Errorf("decode job: %v", err)
+				return
+			}
+			ids[i] = job.ID
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	seen := map[string]bool{}
+	var want []byte
+	for _, id := range ids {
+		if seen[id] {
+			t.Fatalf("job ID %s handed out twice: %v", id, ids)
+		}
+		seen[id] = true
+		job := waitForJob(t, s, id)
+		if job.Status != JobDone || job.Result == nil {
+			t.Fatalf("job %s did not complete: %+v", id, job)
+		}
+		got, _ := json.Marshal(job.Result)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("job %s result differs:\n%s\nvs\n%s", id, got, want)
+		}
+	}
+	snap := reg.Snapshot()
+	done, hits := snap.Counter("serve.jobs.completed"), snap.Counter("serve.cache.hits")
+	if done+hits != k {
+		t.Errorf("jobs.completed (%d) + cache.hits (%d) = %d, want %d", done, hits, done+hits, k)
 	}
 }
 

@@ -2,7 +2,7 @@ package pftk
 
 // Facade-level multi-flow tests: the lockstep oracle (disjoint flows
 // reproduce independent single-flow runs byte for byte), the
-// WithTransfer/SimulateTransfer equivalence pins, and the guarantee
+// WithTransfer option-mapping pins, and the guarantee
 // that the redesigned SimResult leaves the single-flow path untouched.
 
 import (
@@ -56,8 +56,8 @@ func TestLockstepOracle(t *testing.T) {
 	}
 }
 
-// TestTransferPins pins the finite-transfer path: the deprecated
-// SimulateTransfer and the WithTransfer option must return the exact
+// TestTransferPins pins the finite-transfer path: the WithTransfer
+// option and the equivalent SimConfig run directly must return the exact
 // same completion times, and those times are pinned to the values the
 // construction has produced since the seed (any drift means the
 // transfer path's RNG or event order changed).
@@ -73,7 +73,9 @@ func TestTransferPins(t *testing.T) {
 		{"burst", SimConfig{RTT: 0.1, LossRate: 0.02, BurstDur: 0.15, Wm: 16, MinRTO: 1, Seed: 3}, 200, 600},
 	}
 	for _, c := range cases {
-		legacy := SimulateTransfer(c.cfg, c.n, c.deadline)
+		cfg := c.cfg
+		cfg.totalPackets, cfg.transferDeadline = uint64(c.n), c.deadline
+		direct := runSim(cfg).TransferTime
 		res := Sim(
 			WithPath(c.cfg.RTT),
 			WithBurstLoss(c.cfg.LossRate, c.cfg.BurstDur),
@@ -82,8 +84,8 @@ func TestTransferPins(t *testing.T) {
 			WithSeed(c.cfg.Seed),
 			WithTransfer(c.n, c.deadline),
 		)
-		if res.TransferTime != legacy {
-			t.Errorf("%s: WithTransfer = %v, SimulateTransfer = %v", c.name, res.TransferTime, legacy)
+		if res.TransferTime != direct {
+			t.Errorf("%s: WithTransfer = %v, direct config = %v", c.name, res.TransferTime, direct)
 		}
 		if !res.TransferComplete {
 			t.Errorf("%s: transfer did not complete (time %v)", c.name, res.TransferTime)
@@ -111,9 +113,9 @@ func TestTransferDeadline(t *testing.T) {
 // Result, no multi-flow or transfer fields populated.
 func TestSingleFlowResultShape(t *testing.T) {
 	res := Sim(WithLoss(0.02), WithSeed(7), WithDuration(50))
-	legacy := Simulate(SimConfig{LossRate: 0.02, Seed: 7, Duration: 50})
-	if fmt.Sprintf("%v", res.Trace) != fmt.Sprintf("%v", legacy.Trace) {
-		t.Fatal("Sim and Simulate traces differ for the same config")
+	direct := runSim(SimConfig{LossRate: 0.02, Seed: 7, Duration: 50})
+	if fmt.Sprintf("%v", res.Trace) != fmt.Sprintf("%v", direct.Trace) {
+		t.Fatal("Sim and the direct config run traces differ")
 	}
 	if res.Flows != nil || res.FlowResults != nil {
 		t.Errorf("single-flow run populated Flows/FlowResults")

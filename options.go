@@ -184,7 +184,7 @@ func WithBottleneck(b Bottleneck) SimOption {
 // stops when the last packet is delivered or at deadline, whichever
 // comes first, and the result's TransferTime / TransferComplete fields
 // report the outcome — the short-flow counterpart of the default
-// saturated run. Replaces the deprecated SimulateTransfer.
+// saturated run.
 func WithTransfer(n int, deadline float64) SimOption {
 	return func(c *SimConfig) {
 		c.totalPackets = uint64(n)

@@ -28,7 +28,7 @@
 //
 // # The validation stack
 //
-// Simulate runs a packet-level TCP Reno bulk transfer over an emulated
+// Sim runs a packet-level TCP Reno bulk transfer over an emulated
 // lossy path and returns both the measured rates and the sender-side
 // event trace; Analyze runs the paper's trace-analysis methodology
 // (loss-indication classification, Karn RTT filtering, 100-second
@@ -195,8 +195,8 @@ func ParseScenario(data []byte) (*Scenario, error) { return scenario.Parse(data)
 func ParseScenarioFile(path string) (*Scenario, error) { return scenario.ParseFile(path) }
 
 // SimConfig describes a simulated bulk-transfer experiment at the level a
-// model user thinks in; Sim and Simulate map it onto the packet-level TCP
-// Reno implementation and the path emulator.
+// model user thinks in; Sim's options fill it in and the run maps it onto
+// the packet-level TCP Reno implementation and the path emulator.
 type SimConfig struct {
 	// RTT is the two-way propagation delay of the path in seconds.
 	RTT float64
@@ -238,7 +238,7 @@ type SimConfig struct {
 	// final link counters after the run.
 	linkStats *PathStats
 	// totalPackets, when positive, makes the transfer finite
-	// (WithTransfer, SimulateTransfer).
+	// (WithTransfer).
 	totalPackets uint64
 	// transferDeadline, when positive, selects the finite-transfer
 	// execution path: run until totalPackets complete or the deadline
@@ -361,7 +361,7 @@ func Sim(opts ...SimOption) SimResult {
 	return runSim(c)
 }
 
-// runSim is the single execution path behind Sim and Simulate. It is
+// runSim is the single execution path behind Sim. It is
 // annotated deterministic: for a fixed config (including the seed) it
 // must produce byte-identical traces — the contract the golden tests and
 // serial==parallel campaign identity rest on — so the determinism
@@ -392,9 +392,7 @@ func runSim(c SimConfig) SimResult {
 	return SimResult{Result: res}
 }
 
-// runTransferSim is the finite-transfer execution path (WithTransfer):
-// the same construction as SimulateTransfer always used, so the
-// deprecated wrapper reproduces its traces byte for byte.
+// runTransferSim is the finite-transfer execution path (WithTransfer).
 func runTransferSim(c SimConfig) SimResult {
 	deadline := c.transferDeadline
 	conn, _ := buildConn(&c, deadline)
@@ -445,16 +443,6 @@ func runMultiSim(c SimConfig) SimResult {
 	return out
 }
 
-// Simulate runs a saturated TCP Reno bulk transfer over an emulated path
-// and returns the measured result, including the sender-side trace.
-//
-// Deprecated: use Sim with functional options; Simulate delegates to the
-// same execution path and produces byte-identical traces, but new knobs
-// (scenarios, fault injection) are only exposed as options.
-func Simulate(c SimConfig) SimResult {
-	return runSim(c)
-}
-
 // Analyze runs the paper's trace-analysis programs over a sender-side
 // trace: loss indications are inferred from wire-level records exactly as
 // the paper's programs had to do from tcpdump output, then summarized
@@ -502,17 +490,4 @@ func ShortFlowTime(n int, p float64, pr Params) float64 {
 // transfer, which approaches SendRate only for large n.
 func ShortFlowRate(n int, p float64, pr Params) float64 {
 	return core.ShortFlowRate(n, p, pr)
-}
-
-// SimulateTransfer runs a finite n-packet transfer with the given
-// simulation config and returns its completion time in seconds (or the
-// deadline if it never completes).
-//
-// Deprecated: use Sim with WithTransfer(n, deadline) and read
-// TransferTime from the result; SimulateTransfer delegates to the same
-// execution path and produces byte-identical traces.
-func SimulateTransfer(c SimConfig, n int, deadline float64) float64 {
-	c.totalPackets = uint64(n)
-	c.transferDeadline = deadline
-	return runSim(c).TransferTime
 }

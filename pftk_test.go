@@ -58,7 +58,7 @@ func TestFacadeCurve(t *testing.T) {
 }
 
 func TestSimulateLossless(t *testing.T) {
-	res := Simulate(SimConfig{RTT: 0.1, Wm: 8, Duration: 30, Seed: 1})
+	res := runSim(SimConfig{RTT: 0.1, Wm: 8, Duration: 30, Seed: 1})
 	if res.Stats.Retransmits != 0 {
 		t.Errorf("lossless sim retransmitted %d", res.Stats.Retransmits)
 	}
@@ -69,7 +69,7 @@ func TestSimulateLossless(t *testing.T) {
 }
 
 func TestSimulateMatchesModel(t *testing.T) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 64, Duration: 2000, Seed: 7, MinRTO: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 64, Duration: 2000, Seed: 7, MinRTO: 1})
 	sum := Analyze(res.Trace)
 	if sum.LossIndications == 0 {
 		t.Fatal("no loss indications")
@@ -89,7 +89,7 @@ func TestSimulateMatchesModel(t *testing.T) {
 
 func TestSimulateVariants(t *testing.T) {
 	for _, v := range []string{"reno", "tahoe", "linux", "irix", ""} {
-		res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.05, Wm: 16, Duration: 120, Seed: 3, Variant: v})
+		res := runSim(SimConfig{RTT: 0.1, LossRate: 0.05, Wm: 16, Duration: 120, Seed: 3, Variant: v})
 		if res.Stats.TotalSent() == 0 {
 			t.Errorf("variant %q sent nothing", v)
 		}
@@ -97,7 +97,7 @@ func TestSimulateVariants(t *testing.T) {
 }
 
 func TestSimulateBurstLoss(t *testing.T) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.01, BurstDur: 0.2, Wm: 16, Duration: 600, Seed: 5, MinRTO: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.01, BurstDur: 0.2, Wm: 16, Duration: 600, Seed: 5, MinRTO: 1})
 	sum := Analyze(res.Trace)
 	if sum.TimeoutSequences() == 0 {
 		t.Error("burst losses should produce timeout sequences")
@@ -105,7 +105,7 @@ func TestSimulateBurstLoss(t *testing.T) {
 }
 
 func TestAnalyzeEventsAndIntervals(t *testing.T) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, Duration: 600, Seed: 9, MinRTO: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.03, Wm: 16, Duration: 600, Seed: 9, MinRTO: 1})
 	sum := Analyze(res.Trace)
 	if len(sum.Events) == 0 {
 		t.Fatal("no events")
@@ -124,7 +124,7 @@ func TestAnalyzeEventsAndIntervals(t *testing.T) {
 }
 
 func TestRTTWindowCorrelationFacade(t *testing.T) {
-	res := Simulate(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 1000, Seed: 11, MinRTO: 1})
+	res := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 16, Duration: 1000, Seed: 11, MinRTO: 1})
 	rho := RTTWindowCorrelation(res.Trace)
 	if math.IsNaN(rho) || math.Abs(rho) > 0.4 {
 		t.Errorf("correlation = %g on a constant-delay path", rho)
@@ -132,7 +132,7 @@ func TestRTTWindowCorrelationFacade(t *testing.T) {
 }
 
 func TestSimulateDefaults(t *testing.T) {
-	res := Simulate(SimConfig{Seed: 13})
+	res := runSim(SimConfig{Seed: 13})
 	if res.Duration != 100 {
 		t.Errorf("default duration = %g", res.Duration)
 	}
@@ -142,17 +142,17 @@ func TestSimulateDefaults(t *testing.T) {
 }
 
 func TestSimulateTransferCompletes(t *testing.T) {
-	dt := SimulateTransfer(SimConfig{RTT: 0.1, Wm: 16, Seed: 1}, 200, 120)
+	dt := runSim(SimConfig{RTT: 0.1, Wm: 16, Seed: 1, totalPackets: 200, transferDeadline: 120}).TransferTime
 	if dt <= 0 || dt >= 120 {
 		t.Errorf("lossless 200-packet transfer time = %g", dt)
 	}
 	// With loss it takes longer but still completes.
-	lossy := SimulateTransfer(SimConfig{RTT: 0.1, LossRate: 0.05, Wm: 16, MinRTO: 1, Seed: 2}, 200, 600)
+	lossy := runSim(SimConfig{RTT: 0.1, LossRate: 0.05, Wm: 16, MinRTO: 1, Seed: 2, totalPackets: 200, transferDeadline: 600}).TransferTime
 	if lossy <= dt || lossy >= 600 {
 		t.Errorf("lossy transfer time = %g (lossless %g)", lossy, dt)
 	}
 	// Burst-loss variant exercises the TimedBurst path.
-	burst := SimulateTransfer(SimConfig{RTT: 0.1, LossRate: 0.02, BurstDur: 0.15, Wm: 16, MinRTO: 1, Seed: 3}, 200, 600)
+	burst := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, BurstDur: 0.15, Wm: 16, MinRTO: 1, Seed: 3, totalPackets: 200, transferDeadline: 600}).TransferTime
 	if burst <= 0 || burst >= 600 {
 		t.Errorf("burst transfer time = %g", burst)
 	}
@@ -168,7 +168,7 @@ func TestShortFlowFacade(t *testing.T) {
 		t.Errorf("ShortFlowRate inconsistent: %g vs %g", r, 500/tN)
 	}
 	// Model tracks a simulated transfer of the same size.
-	sim := SimulateTransfer(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 64, MinRTO: 1, Seed: 4}, 500, 3600)
+	sim := runSim(SimConfig{RTT: 0.1, LossRate: 0.02, Wm: 64, MinRTO: 1, Seed: 4, totalPackets: 500, transferDeadline: 3600}).TransferTime
 	if ratio := sim / tN; ratio < 0.3 || ratio > 3 {
 		t.Errorf("simulated %g vs model %g (ratio %.2f)", sim, tN, ratio)
 	}
