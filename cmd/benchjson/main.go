@@ -10,18 +10,9 @@
 //	go test -run '^$' -bench 'BenchmarkSimulatedSecond$' -benchmem \
 //	    -benchtime 100000x -count 5 . | benchjson -label post -o BENCH_sim.json
 //
-// With -check, benchjson validates the stream instead of recording it:
-// it exits non-zero unless every benchmark named in -require was parsed,
-// which CI uses as a cheap smoke test that the benchmark suite still
-// runs and still reports allocations.
-//
-// With -check -baseline, benchjson also gates allocations: every parsed
-// benchmark that the baseline file records at 0 allocs/op under -label
-// must still report 0. Run the stream at the ledger's own fixed
-// -benchtime, since amortized growth rounds to zero only there:
-//
-//	go test -run '^$' -bench 'BenchmarkSimulatedSecond$' -benchmem \
-//	    -benchtime 100000x . | benchjson -check -baseline BENCH_sim.json
+// make bench-json records the whole ledger this way. The allocation
+// rungs it records at 0 allocs/op are pinned by testing.AllocsPerRun
+// tests, so go test fails when one starts allocating.
 package main
 
 import (
@@ -53,59 +44,6 @@ type Baseline struct {
 	Date       string             `json:"date,omitempty"`
 	Note       string             `json:"note,omitempty"`
 	Benchmarks map[string]*Result `json:"benchmarks,omitempty"`
-}
-
-// checkZeroAllocs is the allocation gate against a committed
-// BENCH_sim.json: every live result whose entry under label records
-// 0 allocs/op must still report 0. Rungs absent from the live stream are
-// skipped, since the ledger records them at different fixed iteration
-// counts and one gate run covers one count; a stream that reaches no
-// 0-alloc rung at all is an error, not a vacuous pass. It returns the
-// names it checked.
-func checkZeroAllocs(path, label string, live map[string]*Result) ([]string, error) {
-	f, err := readFile(path)
-	if err != nil {
-		return nil, err
-	}
-	b := f.Baselines[label]
-	if b == nil {
-		return nil, fmt.Errorf("%s: no baseline labeled %q", path, label)
-	}
-	var checked, failed []string
-	for name, r := range live {
-		base, ok := b.Benchmarks[name]
-		if !ok || base.AllocsPerOp > 0 {
-			continue
-		}
-		checked = append(checked, name)
-		if r.AllocsPerOp > 0 {
-			failed = append(failed, fmt.Sprintf("%s (%g allocs/op)", name, r.AllocsPerOp))
-		}
-	}
-	sort.Strings(checked)
-	sort.Strings(failed)
-	if len(failed) > 0 {
-		return nil, fmt.Errorf("%s: rungs recorded at 0 allocs/op under %q now allocate: %s",
-			path, label, strings.Join(failed, ", "))
-	}
-	if len(checked) == 0 {
-		return nil, fmt.Errorf("%s: no benchmark in the stream is recorded at 0 allocs/op under %q; the gate checked nothing",
-			path, label)
-	}
-	return checked, nil
-}
-
-// readFile loads a committed baseline file for the -check gates.
-func readFile(path string) (*File, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f File
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: not valid baseline JSON: %w", path, err)
-	}
-	return &f, nil
 }
 
 // File is the on-disk shape of BENCH_sim.json.
@@ -269,12 +207,9 @@ func main() {
 func run(args []string, in io.Reader, out io.Writer) error {
 	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
 	var (
-		outFile  = fs.String("o", "", "baseline file to merge into (default: print JSON to stdout)")
-		label    = fs.String("label", "current", "baseline label to record the results under (with -check -baseline: the label to gate against)")
-		note     = fs.String("note", "", "free-text note stored with the baseline")
-		check    = fs.Bool("check", false, "validate the stream instead of recording it")
-		require  = fs.String("require", "", "comma-separated benchmark names that must be present (with -check)")
-		baseline = fs.String("baseline", "", "with -check: committed baseline file; every benchmark it records at 0 allocs/op under -label must still allocate nothing")
+		outFile = fs.String("o", "", "baseline file to merge into (default: print JSON to stdout)")
+		label   = fs.String("label", "current", "baseline label to record the results under")
+		note    = fs.String("note", "", "free-text note stored with the baseline")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -287,44 +222,6 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		return fmt.Errorf("no benchmark lines found on stdin (pipe `go test -bench -benchmem` output in)")
 	}
 	results := reduce(raw)
-
-	if *check {
-		var missing []string
-		for _, name := range strings.Split(*require, ",") {
-			name = strings.TrimSpace(name)
-			if name == "" {
-				continue
-			}
-			if _, ok := results[name]; !ok {
-				missing = append(missing, name)
-			}
-		}
-		if len(missing) > 0 {
-			return fmt.Errorf("missing required benchmarks: %s", strings.Join(missing, ", "))
-		}
-		names := make([]string, 0, len(results))
-		for name := range results {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			r := results[name]
-			if _, err := fmt.Fprintf(out, "ok %s: %d run(s), %.0f ns/op, %.0f B/op, %.0f allocs/op\n",
-				name, r.Runs, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp); err != nil {
-				return err
-			}
-		}
-		if *baseline == "" {
-			return nil
-		}
-		checked, err := checkZeroAllocs(*baseline, *label, results)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(out, "ok 0 allocs/op as recorded under %q in %s: %s\n",
-			*label, *baseline, strings.Join(checked, ", "))
-		return err
-	}
 
 	b := &Baseline{
 		Date:       time.Now().UTC().Format("2006-01-02"),

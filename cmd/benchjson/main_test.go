@@ -170,61 +170,6 @@ func TestRunMergesBenchmarksWithinLabel(t *testing.T) {
 	}
 }
 
-func TestCheckMode(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-check", "-require", "BenchmarkSimulatedSecond,BenchmarkTimerReset"},
-		strings.NewReader(sampleBench), &out)
-	if err != nil {
-		t.Fatalf("check should pass: %v", err)
-	}
-	if !strings.Contains(out.String(), "ok BenchmarkSimulatedSecond") {
-		t.Errorf("check output = %q", out.String())
-	}
-	err = run([]string{"-check", "-require", "BenchmarkMissing"},
-		strings.NewReader(sampleBench), &out)
-	if err == nil || !strings.Contains(err.Error(), "BenchmarkMissing") {
-		t.Errorf("check with missing benchmark: err = %v", err)
-	}
-}
-
-// TestCheckZeroAllocGate: with -baseline, a rung the ledger records at
-// 0 allocs/op under -label must still report 0; rungs that allocate in
-// the ledger, and ledger rungs absent from the stream, are not gated.
-func TestCheckZeroAllocGate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
-	var out strings.Builder
-	// Record the sample as "current": BenchmarkTimerReset at 0 allocs/op,
-	// BenchmarkSimulatedSecond at 236.
-	if err := run([]string{"-o", path, "-label", "current"}, strings.NewReader(sampleBench), &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run([]string{"-check", "-baseline", path}, strings.NewReader(sampleBench), &out); err != nil {
-		t.Fatalf("unchanged stream should pass the gate: %v", err)
-	}
-	if !strings.Contains(out.String(), `ok 0 allocs/op as recorded under "current"`) ||
-		!strings.Contains(out.String(), "BenchmarkTimerReset") {
-		t.Errorf("gate output = %q", out.String())
-	}
-
-	allocating := strings.Replace(sampleBench, "0 B/op	       0 allocs/op", "16 B/op	       1 allocs/op", 1)
-	err := run([]string{"-check", "-baseline", path}, strings.NewReader(allocating), &out)
-	if err == nil || !strings.Contains(err.Error(), "BenchmarkTimerReset (1 allocs/op)") {
-		t.Errorf("allocating 0-alloc rung: err = %v", err)
-	}
-
-	onlyAllocating := "BenchmarkSimulatedSecond 	  100000	     30000 ns/op	   20326 B/op	     300 allocs/op\n"
-	err = run([]string{"-check", "-baseline", path}, strings.NewReader(onlyAllocating), &out)
-	if err == nil || !strings.Contains(err.Error(), "checked nothing") {
-		t.Errorf("stream with no 0-alloc rung: err = %v", err)
-	}
-
-	err = run([]string{"-check", "-baseline", path, "-label", "missing"}, strings.NewReader(sampleBench), &out)
-	if err == nil || !strings.Contains(err.Error(), `no baseline labeled "missing"`) {
-		t.Errorf("unknown label: err = %v", err)
-	}
-}
-
 func TestEmptyInputIsAnError(t *testing.T) {
 	var out strings.Builder
 	if err := run(nil, strings.NewReader("PASS\nok pftk 0.1s\n"), &out); err == nil {

@@ -215,8 +215,8 @@ func artifactIndex(m *obs.Manifest, id string) int {
 
 // checkObsDir validates a results directory produced with -out (and
 // optionally -metrics): the manifest must match the documented schema and
-// any metrics export it references must be well-formed JSONL. This backs
-// `make obs-smoke`.
+// any metrics export it references must be well-formed JSONL.
+// TestMetricsManifestAndCheckObs runs it against a fresh campaign.
 func checkObsDir(dir string, w *cli.Writer) error {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {

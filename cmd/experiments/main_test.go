@@ -115,7 +115,7 @@ func TestVersionFlag(t *testing.T) {
 
 // TestMetricsManifestAndCheckObs is the end-to-end observability path:
 // run an abbreviated campaign with -metrics/-progress/-out, then validate
-// the produced directory with -checkobs (the obs-smoke contract).
+// the produced directory with -checkobs.
 func TestMetricsManifestAndCheckObs(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "results")
 	metrics := filepath.Join(dir, "metrics.jsonl")

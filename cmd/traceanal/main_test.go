@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -37,6 +38,61 @@ func writeTestTrace(t *testing.T, jsonl bool) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+var update = flag.Bool("update", false, "rewrite examples/scenarios/outage.golden from the current output")
+
+const (
+	outageScenario = "../../examples/scenarios/outage.json"
+	outageGolden   = "../../examples/scenarios/outage.golden"
+)
+
+// TestOutageGolden runs the bundled outage scenario end to end: the
+// transfer `tracesim -rtt 0.1 -loss 0.01 -wm 32 -dur 600 -seed 42
+// -scenario examples/scenarios/outage.json` simulates, analyzed at
+// 100-s intervals, must print the committed golden report byte for
+// byte. Nondeterminism in the scenario engine, or an unintended change
+// to the simulator or the analysis, shows up here. With -update (make
+// scenario-golden) it rewrites the golden instead.
+func TestOutageGolden(t *testing.T) {
+	sc, err := pftk.ParseScenarioFile(outageScenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := pftk.Sim(
+		pftk.WithPath(0.1), pftk.WithBurstLoss(0.01, 0), pftk.WithWindow(32), pftk.WithMinRTO(1),
+		pftk.WithDuration(600), pftk.WithSeed(42), pftk.WithOS("reno"), pftk.WithScenario(sc),
+	)
+	path := filepath.Join(t.TempDir(), "outage.pftk")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.Encode(f, res.Trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-interval", "100", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+
+	if *update {
+		if err := os.WriteFile(outageGolden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(outageGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("report differs from %s (run make scenario-golden after an intended change):\n--- got\n%s--- want\n%s",
+			outageGolden, out.Bytes(), want)
+	}
 }
 
 func TestAnalyzeBinaryTrace(t *testing.T) {

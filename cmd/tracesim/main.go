@@ -18,6 +18,7 @@ import (
 	"pftk"
 	"pftk/internal/cli"
 	"pftk/internal/obs"
+	"pftk/internal/reno"
 	"pftk/internal/trace"
 )
 
@@ -38,7 +39,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		minRTO  = fs.Float64("minrto", 1.0, "RTO floor in seconds (shapes T0)")
 		dur     = fs.Float64("dur", 100, "transfer duration in simulated seconds")
 		seed    = fs.Uint64("seed", 1, "random seed")
-		variant = fs.String("variant", "reno", "sender TCP flavor: reno, tahoe, linux, irix, newreno")
+		variant = fs.String("variant", "reno", "sender TCP flavor: "+reno.VariantNames)
 		scnFile = fs.String("scenario", "", "JSON scenario file scheduling path changes and faults over the run")
 		out     = fs.String("o", "", "output trace file (default stdout summary only)")
 		format  = fs.String("format", "binary", "trace format: binary, jsonl or tcpdump")
@@ -56,6 +57,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		w.Printf("tracesim %s\n", obs.BuildVersion())
 		return w.Err()
 	}
+	_, knownVariant := reno.VariantByName(*variant)
 	switch {
 	case *dur <= 0:
 		return fmt.Errorf("-dur must be a positive duration in simulated seconds, got %v", *dur)
@@ -69,6 +71,8 @@ func run(args []string, stdout io.Writer) (err error) {
 		return fmt.Errorf("-minrto must be positive seconds, got %v", *minRTO)
 	case *wm < 1:
 		return fmt.Errorf("-wm must be at least 1 packet, got %d", *wm)
+	case !knownVariant:
+		return fmt.Errorf("-variant must be one of %s, got %q", reno.VariantNames, *variant)
 	}
 	if *debug != "" {
 		addr, err := obs.ServeDebug(*debug, nil)

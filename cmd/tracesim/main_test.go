@@ -123,6 +123,7 @@ func TestFlagValidation(t *testing.T) {
 		{"negative burst", []string{"-burst", "-1"}, "-burst must be"},
 		{"zero minrto", []string{"-minrto", "0"}, "-minrto must be"},
 		{"zero wm", []string{"-wm", "0"}, "-wm must be"},
+		{"unknown variant", []string{"-variant", "bogus"}, "-variant must be one of"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

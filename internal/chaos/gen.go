@@ -8,6 +8,7 @@ import (
 	"math"
 	"sort"
 
+	"pftk/internal/reno"
 	"pftk/internal/scenario"
 	"pftk/internal/sim"
 )
@@ -76,6 +77,7 @@ func (c Case) Hash() string {
 // cases always pass; the check guards corpus entries and hand-written
 // repros.
 func (c Case) Validate() error {
+	_, knownVariant := reno.VariantByName(c.Variant)
 	switch {
 	case !(c.RTT > 0) || math.IsInf(c.RTT, 0):
 		return fmt.Errorf("chaos: case %d: rtt must be positive and finite, got %v", c.Index, c.RTT)
@@ -89,7 +91,7 @@ func (c Case) Validate() error {
 		return fmt.Errorf("chaos: case %d: min_rto must be positive, got %v", c.Index, c.MinRTO)
 	case !(c.Duration > 0) || math.IsInf(c.Duration, 0):
 		return fmt.Errorf("chaos: case %d: duration must be positive and finite, got %v", c.Index, c.Duration)
-	case !validVariants[c.Variant]:
+	case !knownVariant:
 		return fmt.Errorf("chaos: case %d: unknown variant %q", c.Index, c.Variant)
 	case c.AckEvery < 1:
 		return fmt.Errorf("chaos: case %d: ack_every must be at least 1, got %d", c.Index, c.AckEvery)

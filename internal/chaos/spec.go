@@ -29,6 +29,7 @@ import (
 	"math"
 	"os"
 
+	"pftk/internal/reno"
 	"pftk/internal/scenario"
 )
 
@@ -203,11 +204,6 @@ func DefaultSpec() Spec {
 	}
 }
 
-// validVariants mirrors the serving layer's sender-flavor set.
-var validVariants = map[string]bool{
-	"reno": true, "tahoe": true, "linux": true, "irix": true, "newreno": true,
-}
-
 // validLossModels is the closed set of base loss families.
 var validLossModels = map[string]bool{
 	scenario.LossBernoulli: true,
@@ -253,7 +249,7 @@ func (sp *Spec) Validate() error {
 		return errors.New("chaos: variants set is empty")
 	}
 	for _, v := range sp.Variants {
-		if !validVariants[v] {
+		if _, ok := reno.VariantByName(v); !ok {
 			return fmt.Errorf("chaos: unknown variant %q", v)
 		}
 	}

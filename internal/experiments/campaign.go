@@ -138,22 +138,6 @@ func RunPairObserved(p hosts.Pair, duration float64, salt uint64, intervalWidth 
 	return runPair(p, duration, salt, intervalWidth, reg)
 }
 
-// engineHooks is the standard engine wiring: total events fired, queue
-// depth high-water mark, and cancels, all into preallocated handles.
-func engineHooks(reg *obs.Registry) sim.Hooks {
-	events := reg.Counter("sim.events")
-	depth := reg.Gauge("sim.queue.depth")
-	cancels := reg.Counter("sim.cancels")
-	return sim.Hooks{
-		EventFired: func(_ float64, pending int) {
-			events.Inc()
-			depth.Set(float64(pending))
-		},
-		Scheduled: func(_ float64, pending int) { depth.Set(float64(pending)) },
-		Cancelled: func() { cancels.Inc() },
-	}
-}
-
 func runPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
 	start := time.Now()
 	p = hosts.CalibratedPair(p, hosts.CalibrateOptions{})
@@ -163,7 +147,7 @@ func runPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64,
 		cfg.Sender.Metrics = reno.NewMetrics(reg)
 		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(reg, "netem.fwd")
 		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(reg, "netem.rev")
-		eng.SetHooks(engineHooks(reg))
+		eng.SetHooks(sim.NewMetricHooks(reg))
 	}
 	res := reno.NewConnection(&eng, cfg).Run(duration)
 	events := analysis.InferLossEvents(res.Trace, p.SenderVariant().DupThreshold)

@@ -148,7 +148,7 @@ func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width
 		cfg.Sender.Metrics = reno.NewMetrics(reg)
 		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(reg, "netem.fwd")
 		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(reg, "netem.rev")
-		eng.SetHooks(engineHooks(reg))
+		eng.SetHooks(sim.NewMetricHooks(reg))
 	}
 	conn := reno.NewConnection(&eng, cfg)
 	runner := scenario.Bind(&eng, conn.Path, scenario.Config{

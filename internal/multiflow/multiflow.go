@@ -155,19 +155,14 @@ func (s FlowSpec) normalize() FlowSpec {
 	return s
 }
 
+// renoVariant resolves a TCP flow's variant; callers handle "tfrc"
+// first.
 func (s FlowSpec) renoVariant() reno.Variant {
-	switch s.Variant {
-	case "tahoe":
-		return reno.Tahoe
-	case "linux":
-		return reno.Linux
-	case "irix":
-		return reno.Irix
-	case "newreno":
-		return reno.NewReno
-	default:
-		return reno.Reno
+	v, ok := reno.VariantByName(s.Variant)
+	if !ok {
+		panic(fmt.Sprintf("multiflow: unknown variant %q (valid: %s, tfrc)", s.Variant, reno.VariantNames))
 	}
+	return v
 }
 
 // flowSeed derives flow i's seed when the spec leaves it zero, forking
@@ -260,6 +255,12 @@ func New(eng *sim.Engine, cfg Config) *Engine {
 // single-flow facade's construction exactly — the basis of the lockstep
 // oracle.
 func (m *Engine) buildDisjoint(i int, spec FlowSpec, loss netem.LossModel) flow {
+	pathCfg := netem.SymmetricPath(spec.RTT/2, loss)
+	if spec.Variant == "tfrc" {
+		path := netem.NewPath(m.eng, pathCfg)
+		f := tfrc.NewFlow(m.eng, path, tfrc.Config{FlowID: int32(i)})
+		return flow{spec: spec, tfrc: f}
+	}
 	cfg := reno.ConnConfig{
 		Sender: reno.SenderConfig{
 			Variant: spec.renoVariant(),
@@ -268,12 +269,7 @@ func (m *Engine) buildDisjoint(i int, spec FlowSpec, loss netem.LossModel) flow 
 			FlowID:  int32(i),
 		},
 		Receiver: reno.ReceiverConfig{AckEvery: spec.AckEvery, FlowID: int32(i)},
-		Path:     netem.SymmetricPath(spec.RTT/2, loss),
-	}
-	if spec.Variant == "tfrc" {
-		path := netem.NewPath(m.eng, cfg.Path)
-		f := tfrc.NewFlow(m.eng, path, tfrc.Config{FlowID: int32(i)})
-		return flow{spec: spec, tfrc: f}
+		Path:     pathCfg,
 	}
 	return flow{spec: spec, conn: reno.NewConnection(m.eng, cfg)}
 }

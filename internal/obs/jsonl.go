@@ -11,7 +11,8 @@ import (
 // RunRecord is one line of the metrics JSONL export: the identity,
 // timing, and full metric snapshot of one simulated run. The schema is
 // documented in DESIGN.md ("Observability") and validated by
-// ValidateMetricsJSONL, which `make obs-smoke` runs against real output.
+// ValidateMetricsJSONL, which `experiments -checkobs` runs against real
+// output.
 type RunRecord struct {
 	// Experiment labels the producing campaign or artifact ("hour",
 	// "short", "fig7", ...).

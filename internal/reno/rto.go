@@ -138,6 +138,27 @@ var (
 	NewReno = Variant{Name: "newreno", DupThreshold: 3, MaxBackoffExp: 6, NewReno: true}
 )
 
+// VariantNames lists the names VariantByName accepts, for messages.
+const VariantNames = "reno, tahoe, linux, irix, newreno"
+
+// VariantByName returns the preset with the given name, one of
+// VariantNames, with "" meaning Reno. ok is false for any other name.
+func VariantByName(name string) (v Variant, ok bool) {
+	switch name {
+	case "", Reno.Name:
+		return Reno, true
+	case Tahoe.Name:
+		return Tahoe, true
+	case Linux.Name:
+		return Linux, true
+	case Irix.Name:
+		return Irix, true
+	case NewReno.Name:
+		return NewReno, true
+	}
+	return Variant{}, false
+}
+
 // normalize fills zero fields with Reno defaults so the zero Variant is
 // usable.
 func (v Variant) normalize() Variant {

@@ -54,8 +54,6 @@ type Config struct {
 	MaxBatch int
 	// MaxJobs bounds retained finished jobs; default 4096.
 	MaxJobs int
-	// RetryAfter is the hint returned with 429 responses; default 1 s.
-	RetryAfter time.Duration
 	// Registry receives service metrics; nil disables them at zero
 	// cost (the obs nil-handle convention).
 	Registry *obs.Registry
@@ -66,13 +64,10 @@ type Config struct {
 	// spans.
 	Tracer *tracez.Tracer
 	// AccessLog receives one structured line per request; nil disables
-	// access logging. Writes are serialized by the server.
+	// access logging. Writes are serialized by the server. A simulation
+	// that panics fails its job and writes its flight-recorder dump
+	// here.
 	AccessLog io.Writer
-	// FlightEvents sizes the per-simulation flight recorder ring (0
-	// selects the default capacity, negative disables recording). On a
-	// simulation panic the recorder dump is written to AccessLog and
-	// the job fails instead of crashing a worker.
-	FlightEvents int
 }
 
 func (c Config) withDefaults() Config {
@@ -90,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxJobs < 1 {
 		c.MaxJobs = 4096
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -330,10 +322,11 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// rejectOverload sends the 429 + Retry-After admission-control response.
+// rejectOverload sends the 429 admission-control response with a 1 s
+// Retry-After hint.
 func (s *Server) rejectOverload(w http.ResponseWriter) {
 	s.mRejected.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", "1")
 	writeError(w, http.StatusTooManyRequests, "job queue full, retry later")
 }
 
@@ -590,7 +583,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		esp := traceRef.StartChild("eval")
-		res, dump, err := runSimulationGuarded(req, s.cfg.FlightEvents)
+		res, dump, err := runSimulationGuarded(req)
 		if err != nil {
 			esp.SetError(err.Error())
 			esp.End()

@@ -6,13 +6,9 @@ import (
 
 	"pftk"
 	"pftk/internal/core"
+	"pftk/internal/reno"
 	"pftk/internal/scenario"
 )
-
-// simVariants is the set of sender flavors the simulator implements.
-var simVariants = map[string]bool{
-	"reno": true, "tahoe": true, "linux": true, "irix": true, "newreno": true,
-}
 
 // SimulateRequest describes one deterministic packet-level bulk-transfer
 // simulation. Together with the seed it fully determines the outcome,
@@ -81,6 +77,7 @@ const maxSimDuration = 4 * 3600
 
 // validate reports the first problem with a normalized request.
 func (r SimulateRequest) validate() error {
+	_, knownVariant := reno.VariantByName(r.Variant)
 	switch {
 	case math.IsNaN(r.RTT) || math.IsInf(r.RTT, 0) || r.RTT <= 0:
 		return fmt.Errorf("rtt must be positive and finite, got %v", r.RTT)
@@ -96,8 +93,8 @@ func (r SimulateRequest) validate() error {
 		return fmt.Errorf("duration must be positive, got %v", r.Duration)
 	case r.Duration > maxSimDuration:
 		return fmt.Errorf("duration must be at most %d simulated seconds, got %v", maxSimDuration, r.Duration)
-	case !simVariants[r.Variant]:
-		return fmt.Errorf("unknown variant %q (valid: reno, tahoe, linux, irix, newreno)", r.Variant)
+	case !knownVariant:
+		return fmt.Errorf("unknown variant %q (valid: %s)", r.Variant, reno.VariantNames)
 	case r.AckEvery < 1:
 		return fmt.Errorf("ack_every must be at least 1, got %d", r.AckEvery)
 	}
@@ -166,33 +163,27 @@ func Run(r SimulateRequest) (SimulateResult, error) {
 	if err := r.validate(); err != nil {
 		return SimulateResult{}, err
 	}
-	res, dump, err := runSimulationGuarded(r, 0)
+	res, dump, err := runSimulationGuarded(r)
 	if err != nil {
 		return SimulateResult{}, fmt.Errorf("%w\n%s", err, dump)
 	}
 	return res, nil
 }
 
-// runSimulationGuarded runs one simulation with a flight recorder
-// attached (flightEvents sizes its ring; 0 selects the default,
-// negative disables recording) and converts a panic — a scenario fault
-// or an engine invariant failure — into an error plus the recorder's
-// dump, so one poisoned request fails its job instead of killing a
-// worker goroutine.
-func runSimulationGuarded(r SimulateRequest, flightEvents int) (res SimulateResult, dump string, err error) {
-	var flight *pftk.FlightRecorder
-	var opts []pftk.SimOption
-	if flightEvents >= 0 {
-		flight = pftk.NewFlightRecorder(flightEvents)
-		opts = append(opts, pftk.WithFlightRecorder(flight))
-	}
+// runSimulationGuarded runs one simulation with a flight recorder (the
+// default 256-event ring) attached and converts a panic — a scenario
+// fault or an engine invariant failure — into an error plus the
+// recorder's dump, so one poisoned request fails its job instead of
+// killing a worker goroutine.
+func runSimulationGuarded(r SimulateRequest) (res SimulateResult, dump string, err error) {
+	flight := pftk.NewFlightRecorder(0)
 	defer func() {
 		if p := recover(); p != nil {
 			dump = flight.String()
 			err = fmt.Errorf("simulation panicked: %v", p)
 		}
 	}()
-	res = runSimulation(r, opts...)
+	res = runSimulation(r, pftk.WithFlightRecorder(flight))
 	return res, "", nil
 }
 

@@ -145,26 +145,10 @@ func TestRunUntilDeadlineBeforeNextEvent(t *testing.T) {
 	}
 }
 
-// engineMetricsHooks builds the standard obs wiring used by the
-// experiment harness: an event counter and a queue-depth gauge.
-func engineMetricsHooks(reg *obs.Registry) Hooks {
-	events := reg.Counter("sim.events")
-	depth := reg.Gauge("sim.queue.depth")
-	cancels := reg.Counter("sim.cancels")
-	return Hooks{
-		EventFired: func(_ float64, pending int) {
-			events.Inc()
-			depth.Set(float64(pending))
-		},
-		Scheduled: func(_ float64, pending int) { depth.Set(float64(pending)) },
-		Cancelled: func() { cancels.Inc() },
-	}
-}
-
 func TestEngineMetricsViaObsRegistry(t *testing.T) {
 	reg := obs.New()
 	var e Engine
-	e.SetHooks(engineMetricsHooks(reg))
+	e.SetHooks(NewMetricHooks(reg))
 	for i := 0; i < 8; i++ {
 		e.Schedule(float64(i), func() {})
 	}

@@ -40,7 +40,7 @@ func BenchmarkSimStepObsEnabled(b *testing.B) {
 	reg := obs.New()
 	var e Engine
 	fill(&e, b.N)
-	e.SetHooks(engineMetricsHooks(reg))
+	e.SetHooks(NewMetricHooks(reg))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -83,7 +83,7 @@ func TestStepDisabledMetricsZeroAlloc(t *testing.T) {
 func TestStepEnabledMetricsZeroAlloc(t *testing.T) {
 	reg := obs.New()
 	var e Engine
-	e.SetHooks(engineMetricsHooks(reg))
+	e.SetHooks(NewMetricHooks(reg))
 	fill(&e, 256)
 	allocs := testing.AllocsPerRun(200, func() {
 		if !e.Step() {

@@ -38,6 +38,7 @@ import (
 	"math"
 
 	"pftk/internal/invariant"
+	"pftk/internal/obs"
 	"pftk/internal/pkt"
 )
 
@@ -101,6 +102,24 @@ type Hooks struct {
 	// Cancelled is called each time Cancel removes a still-pending
 	// event (not for already-fired or doubly-cancelled events).
 	Cancelled func()
+}
+
+// NewMetricHooks registers the standard engine metrics on r: events
+// fired ("sim.events"), the queue-depth high-water mark
+// ("sim.queue.depth") and cancels ("sim.cancels"). The handles are
+// preallocated, so the hooks never allocate on the hot path.
+func NewMetricHooks(r *obs.Registry) Hooks {
+	events := r.Counter("sim.events")
+	depth := r.Gauge("sim.queue.depth")
+	cancels := r.Counter("sim.cancels")
+	return Hooks{
+		EventFired: func(_ float64, pending int) {
+			events.Inc()
+			depth.Set(float64(pending))
+		},
+		Scheduled: func(_ float64, pending int) { depth.Set(float64(pending)) },
+		Cancelled: func() { cancels.Inc() },
+	}
 }
 
 // Engine is a discrete-event simulator. The zero value is ready to use.

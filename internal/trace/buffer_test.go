@@ -136,6 +136,24 @@ func TestBufferAppendSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestBufferAppendAmortizedGrowth: filling a NewBuffer(1024) with
+// 100,000 records allocates only at its growth steps, seven doublings to
+// 131,072 records, so per record the capture cost rounds to the 0
+// allocs/op BenchmarkTraceAppend records.
+func TestBufferAppendAmortizedGrowth(t *testing.T) {
+	const records, doublings = 100000, 7
+	allocs := testing.AllocsPerRun(1, func() {
+		b := NewBuffer(1024)
+		for i := 0; i < records; i++ {
+			b.Append(Record{Time: float64(i), Kind: KindSend, Seq: uint64(i)})
+		}
+	})
+	// The Buffer, its first 1024-record array, one array per doubling.
+	if want := 2.0 + doublings; allocs > want {
+		t.Errorf("%d appends from NewBuffer(1024) allocate %v times, want at most %v", records, allocs, want)
+	}
+}
+
 // BenchmarkTraceAppend measures the amortized per-record capture cost,
 // growth steps included.
 func BenchmarkTraceAppend(b *testing.B) {

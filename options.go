@@ -82,7 +82,8 @@ func WithDuration(seconds float64) SimOption {
 }
 
 // WithOS selects the sender's TCP flavor by the paper's Table I naming:
-// "reno" (default), "tahoe", "linux", "irix" or "newreno".
+// "reno" (default), "tahoe", "linux", "irix" or "newreno". Sim panics on
+// any other name.
 func WithOS(variant string) SimOption {
 	return func(c *SimConfig) { c.Variant = variant }
 }

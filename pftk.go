@@ -37,6 +37,8 @@
 package pftk
 
 import (
+	"fmt"
+
 	"pftk/internal/analysis"
 	"pftk/internal/core"
 	"pftk/internal/multiflow"
@@ -216,7 +218,8 @@ type SimConfig struct {
 	// Seed makes the run reproducible.
 	Seed uint64
 	// Variant selects the sender's TCP flavor: "reno" (default),
-	// "tahoe", "linux", "irix" or "newreno".
+	// "tahoe", "linux", "irix" or "newreno"; Sim panics on any other
+	// name.
 	Variant string
 	// AckEvery is the receiver's delayed-ACK ratio b (default 2).
 	AckEvery int
@@ -257,18 +260,11 @@ type SimConfig struct {
 }
 
 func (c SimConfig) variant() reno.Variant {
-	switch c.Variant {
-	case "tahoe":
-		return reno.Tahoe
-	case "linux":
-		return reno.Linux
-	case "irix":
-		return reno.Irix
-	case "newreno":
-		return reno.NewReno
-	default:
-		return reno.Reno
+	v, ok := reno.VariantByName(c.Variant)
+	if !ok {
+		panic(fmt.Sprintf("pftk: unknown TCP variant %q (valid: %s)", c.Variant, reno.VariantNames))
 	}
+	return v
 }
 
 // buildConn assembles the engine, connection and (when a scenario is
@@ -307,7 +303,7 @@ func buildConn(c *SimConfig, horizon float64) (*reno.Connection, *scenario.Runne
 		cfg.Sender.Metrics = reno.NewMetrics(c.registry)
 		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(c.registry, "netem.fwd")
 		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(c.registry, "netem.rev")
-		eng.SetHooks(engineHooks(c.registry))
+		eng.SetHooks(sim.NewMetricHooks(c.registry))
 	}
 	conn := reno.NewConnection(eng, cfg)
 	var runner *scenario.Runner
@@ -321,23 +317,6 @@ func buildConn(c *SimConfig, horizon float64) (*reno.Connection, *scenario.Runne
 		})
 	}
 	return conn, runner
-}
-
-// engineHooks is the standard engine instrumentation for WithObs: events
-// fired, queue-depth high-water mark and cancels, all into preallocated
-// handles so the hooks never allocate on the hot path.
-func engineHooks(reg *obs.Registry) sim.Hooks {
-	events := reg.Counter("sim.events")
-	depth := reg.Gauge("sim.queue.depth")
-	cancels := reg.Counter("sim.cancels")
-	return sim.Hooks{
-		EventFired: func(_ float64, pending int) {
-			events.Inc()
-			depth.Set(float64(pending))
-		},
-		Scheduled: func(_ float64, pending int) { depth.Set(float64(pending)) },
-		Cancelled: func() { cancels.Inc() },
-	}
 }
 
 // Sim runs a saturated TCP bulk transfer over an emulated — optionally

@@ -1,7 +1,9 @@
 package pftk
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +96,12 @@ func TestSimulateVariants(t *testing.T) {
 			t.Errorf("variant %q sent nothing", v)
 		}
 	}
+	defer func() {
+		if r := recover(); r == nil || !strings.HasPrefix(fmt.Sprint(r), `pftk: unknown TCP variant "bogus"`) {
+			t.Errorf("unknown variant: recovered %v, want a pftk: panic naming it", r)
+		}
+	}()
+	Sim(WithOS("bogus"), WithDuration(1))
 }
 
 func TestSimulateBurstLoss(t *testing.T) {
