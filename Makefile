@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench bench-json perfbench-smoke chaos-smoke fuzz fuzz-ci experiments examples fmt fmtcheck vet lint lint-baseline invariants scenario-golden calibrate check clean
+.PHONY: all build test test-short race cover bench bench-json perfbench-smoke chaos-smoke fuzz fuzz-ci experiments examples fmt fmtcheck vet lint scenario-golden calibrate check clean
 
 all: build test
 
@@ -92,26 +92,13 @@ fmtcheck:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the full 12-analyzer suite over the
-# whole module as JSON, diffed against the committed baseline. Exit
-# status: 0 clean, 1 unbaselined findings or stale baseline entries,
-# 2 packages that failed to parse/type-check.
+# Project-specific static analysis: the 11-analyzer suite over the whole
+# module. Exit status: 0 clean, 1 findings, 2 packages that failed to
+# parse/type-check. go test ./... makes the same check (TestLintSelf in
+# internal/lint); a deliberate exception is an //pftklint:ignore
+# <analyzer> <justification> directive at the finding's site.
 lint:
-	$(GO) run ./cmd/pftklint -json -check ./...
-
-# Accept the current findings into the committed baseline. Run only when
-# a finding is a deliberate, justified exception that an
-# //pftklint:ignore directive cannot express better.
-lint-baseline:
-	$(GO) run ./cmd/pftklint -write-baseline ./...
-
-# The pftkinvariants build turns the invariant layer's checks into
-# panics. The full test suite deliberately feeds NaN to the entry points,
-# so only the build and the invariant package's own tests run under the
-# tag.
-invariants:
-	$(GO) build -tags pftkinvariants ./...
-	$(GO) test -tags pftkinvariants ./internal/invariant
+	$(GO) run ./cmd/pftklint ./...
 
 # Serving benchmark smoke test: a short output-checked perfbench
 # serve-mixed run, so every predict body and simulate result it serves
@@ -154,7 +141,7 @@ calibrate:
 
 # Umbrella gate: everything CI runs, ending with one iteration of every
 # benchmark so a benchmark that fails at runtime fails the gate.
-check: build vet fmtcheck lint test race invariants perfbench-smoke chaos-smoke
+check: build vet fmtcheck lint test race perfbench-smoke chaos-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 clean:

@@ -1,9 +1,9 @@
 // Command pftklint runs the project's static-analysis suite
-// (internal/lint) over the module. It is stdlib-only — packages are
-// parsed with go/parser and type-checked with go/types against the
-// source importer — so it runs anywhere the repository builds. Packages
-// are analyzed in parallel on the shared worker pool, and packages that
-// fail to parse or type-check are reported (never silently skipped).
+// (internal/lint) over the module. It is stdlib-only — files are
+// selected with go/build, parsed with go/parser and type-checked with
+// go/types against the source importer — so it runs anywhere the
+// repository builds. Packages that fail to parse or type-check are
+// reported (never silently skipped).
 //
 // Usage:
 //
@@ -12,28 +12,24 @@
 //	pftklint -tests ./...           # include in-package _test.go files
 //	pftklint -only floatcmp ./...   # run a subset of analyzers
 //	pftklint -json ./...            # machine-readable report
-//	pftklint -json -check ./...     # diff against the committed baseline
-//	pftklint -write-baseline ./...  # accept the current findings
+//	pftklint -list                  # list the analyzers
 //
-// Exit status: 0 clean, 1 findings (or baseline drift under -check),
-// 2 load errors or usage errors. Load errors dominate findings.
+// A finding that is a deliberate exception is suppressed at its site
+// with //pftklint:ignore <analyzer> <justification>.
+//
+// Exit status: 0 clean, 1 findings, 2 load errors or usage errors. Load
+// errors dominate findings.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"pftk/internal/lint"
 )
-
-// defaultBaseline is the committed baseline file, relative to the
-// module root.
-const defaultBaseline = ".pftklint-baseline.json"
 
 func main() {
 	code, err := run(os.Args[1:], os.Stdout)
@@ -49,15 +45,11 @@ func main() {
 func run(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("pftklint", flag.ContinueOnError)
 	var (
-		dir      = fs.String("C", ".", "change to this directory before resolving packages")
-		tests    = fs.Bool("tests", false, "also analyze in-package _test.go files")
-		only     = fs.String("only", "", "comma-separated subset of analyzers to run")
-		list     = fs.Bool("list", false, "list the available analyzers and exit")
-		tags     = fs.String("tags", "", "comma-separated extra build tags to consider satisfied")
-		jsonOut  = fs.Bool("json", false, "emit the report as JSON")
-		check    = fs.Bool("check", false, "diff findings against the baseline; new or stale entries fail")
-		baseline = fs.String("baseline", "", "baseline file (default <module root>/"+defaultBaseline+")")
-		writeBl  = fs.Bool("write-baseline", false, "write the current findings to the baseline file and exit")
+		dir     = fs.String("C", ".", "change to this directory before resolving packages")
+		tests   = fs.Bool("tests", false, "also analyze in-package _test.go files")
+		only    = fs.String("only", "", "comma-separated subset of analyzers to run")
+		list    = fs.Bool("list", false, "list the available analyzers and exit")
+		jsonOut = fs.Bool("json", false, "emit the report as JSON")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2, err
@@ -89,135 +81,44 @@ func run(args []string, out io.Writer) (int, error) {
 		return 2, err
 	}
 	loader.IncludeTests = *tests
-	if *tags != "" {
-		loader.Tags = strings.Split(*tags, ",")
-	}
-
-	dirs, err := resolvePatterns(loader, *dir, fs.Args())
-	if err != nil {
-		return 2, err
-	}
 
 	driver := &lint.Driver{Loader: loader, Analyzers: analyzers}
-	report, err := driver.Run(dirs)
+	report, err := driver.Run(resolvePatterns(*dir, fs.Args()))
 	if err != nil {
 		return 2, err
-	}
-
-	blPath := *baseline
-	if blPath == "" {
-		blPath = filepath.Join(loader.Root(), defaultBaseline)
-	}
-
-	if *writeBl {
-		if len(report.LoadErrors) > 0 {
-			printLoadErrors(out, report)
-			return 2, fmt.Errorf("refusing to write a baseline from a partial analysis (%d load errors)", len(report.LoadErrors))
-		}
-		if err := lint.NewBaseline(report).WriteFile(blPath); err != nil {
-			return 2, err
-		}
-		if _, err := fmt.Fprintf(out, "wrote %d finding(s) to %s\n", len(report.Findings), blPath); err != nil {
-			return 2, err
-		}
-		return 0, nil
-	}
-
-	code := report.ExitCode()
-	var news []lint.Finding
-	var stale []lint.BaselineEntry
-	if *check {
-		bl, err := lint.ReadBaseline(blPath)
-		if err != nil {
-			return 2, err
-		}
-		news, stale = bl.Diff(report)
-		// Under -check the baseline decides: only unbaselined findings
-		// (or rot in the baseline itself) fail, load errors still
-		// dominate.
-		code = 0
-		if len(news) > 0 || len(stale) > 0 {
-			code = 1
-		}
-		if len(report.LoadErrors) > 0 {
-			code = 2
-		}
 	}
 
 	if *jsonOut {
-		// Under -check the baseline diff rides inside the JSON document
-		// (appending text lines would corrupt the machine-readable
-		// stream).
-		var data []byte
-		if *check {
-			data, err = checkedJSON(report, news, stale)
-		} else {
-			data, err = report.JSON()
-		}
+		data, err := report.JSON()
 		if err != nil {
 			return 2, err
 		}
 		if _, err := out.Write(data); err != nil {
 			return 2, err
 		}
-		return code, nil
+		return report.ExitCode(), nil
 	}
 	for _, f := range report.Findings {
 		if _, err := fmt.Fprintln(out, f); err != nil {
 			return 2, err
 		}
 	}
-	printLoadErrors(out, report)
-	for _, f := range news {
-		if _, err := fmt.Fprintf(out, "new finding (not in baseline): %s\n", f); err != nil {
-			return 2, err
-		}
-	}
-	for _, e := range stale {
-		if _, err := fmt.Fprintf(out, "stale baseline entry (finding no longer fires): %s: %s: %s\n", e.File, e.Analyzer, e.Message); err != nil {
-			return 2, err
-		}
-	}
-	return code, nil
-}
-
-// checkedJSON renders the report plus the baseline diff as one JSON
-// document.
-func checkedJSON(report *lint.Report, news []lint.Finding, stale []lint.BaselineEntry) ([]byte, error) {
-	if news == nil {
-		news = []lint.Finding{}
-	}
-	if stale == nil {
-		stale = []lint.BaselineEntry{}
-	}
-	doc := struct {
-		*lint.Report
-		NewFindings   []lint.Finding       `json:"new_findings"`
-		StaleBaseline []lint.BaselineEntry `json:"stale_baseline"`
-	}{report, news, stale}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
-// printLoadErrors reports broken packages in human mode; they are part
-// of the JSON report already.
-func printLoadErrors(out io.Writer, report *lint.Report) {
 	for _, le := range report.LoadErrors {
-		_, _ = fmt.Fprintf(out, "load error: %s: %s\n", le.Dir, le.Error)
+		if _, err := fmt.Fprintf(out, "load error: %s: %s\n", le.Dir, le.Error); err != nil {
+			return 2, err
+		}
 	}
+	return report.ExitCode(), nil
 }
 
 // resolvePatterns maps the command-line package patterns to directories.
 // "./..." (or no argument at all) means the whole module; anything else
 // is a directory path relative to -C.
-func resolvePatterns(loader *lint.Loader, base string, patterns []string) ([]string, error) {
+func resolvePatterns(base string, patterns []string) []string {
 	var dirs []string
 	for _, pat := range patterns {
 		if pat == "./..." || pat == "..." || pat == "all" {
-			return nil, nil // whole module
+			return nil // whole module
 		}
 		dir := pat
 		if !strings.HasPrefix(dir, "/") {
@@ -225,5 +126,5 @@ func resolvePatterns(loader *lint.Loader, base string, patterns []string) ([]str
 		}
 		dirs = append(dirs, dir)
 	}
-	return dirs, nil
+	return dirs
 }

@@ -80,15 +80,6 @@ func GroundTruthLossEvents(tr trace.Trace) []LossEvent {
 			} else {
 				cur.NumTimeouts++
 			}
-		case trace.KindAck:
-			// A cumulative ACK for new data ends any timeout
-			// sequence; the sender's Val-reset makes this mostly
-			// redundant but guards against capped exponents.
-			if cur != nil && r.Ack > 0 {
-				// Only acks that advance matter; we cannot see una
-				// here, so rely on Val==0 resets plus TD records.
-				_ = r
-			}
 		}
 	}
 	return events

@@ -3,17 +3,12 @@ package core
 import (
 	"math"
 	"testing"
-
-	"pftk/internal/invariant"
 )
 
 // Domain-boundary coverage for the model entry points: the extremes
 // p→0⁺, p=1 and RTT→0⁺ where naive implementations of Eq. (30)-style
-// formulas silently produce NaN or Inf. In the default build the entry
-// points clamp and stay deterministic; the invariant layer's Check
-// functions reject the same inputs for callers that want to fail fast
-// (the pftkinvariants build turns those rejections into panics at the
-// call site — see internal/invariant).
+// formulas silently produce NaN or Inf. The entry points clamp and stay
+// deterministic.
 
 func entryPoints() map[string]func(p float64, pr Params) float64 {
 	return map[string]func(p float64, pr Params) float64{
@@ -83,19 +78,15 @@ func TestEntryPointsTinyRTT(t *testing.T) {
 			}
 		}
 	}
-	// RTT = 0 and below remain rejected by Validate and by the
-	// invariant layer.
+	// RTT = 0 and below remain rejected by Validate.
 	if (Params{RTT: 0, T0: 2, Wm: 12}).Validate() == nil {
 		t.Error("Validate must reject RTT = 0")
-	}
-	if invariant.CheckPositive("RTT", 0) == nil {
-		t.Error("invariant.CheckPositive must reject RTT = 0")
 	}
 }
 
 func TestEntryPointsNonFinitePDeterministic(t *testing.T) {
 	pr := NewParams(0.2, 2.0, 12)
-	// The default build clamps NaN and negative p to 0, +Inf p to 1 —
+	// The entry points clamp NaN and negative p to 0, +Inf p to 1 —
 	// each call must agree exactly with its clamped counterpart.
 	for name, fn := range entryPoints() {
 		if got, want := fn(math.NaN(), pr), fn(0, pr); got != want {
@@ -106,12 +97,6 @@ func TestEntryPointsNonFinitePDeterministic(t *testing.T) {
 		}
 		if got, want := fn(math.Inf(1), pr), fn(1, pr); got != want {
 			t.Errorf("%s(+Inf) = %g, want clamp to %s(1) = %g", name, got, name, want)
-		}
-	}
-	// The invariant layer rejects exactly those inputs.
-	for _, p := range []float64{math.NaN(), -0.5, math.Inf(1), 1.5} {
-		if invariant.CheckProbability("p", p) == nil {
-			t.Errorf("invariant.CheckProbability(%g) = nil, want error", p)
 		}
 	}
 }

@@ -29,8 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"pftk/internal/invariant"
 )
 
 // DefaultB is the typical number of packets acknowledged per ACK when the
@@ -96,30 +94,6 @@ func (pr Params) String() string {
 		wm = fmt.Sprintf("%g pkts", pr.Wm)
 	}
 	return fmt.Sprintf("Params(RTT=%gs, T0=%gs, Wm=%s, b=%g)", pr.RTT, pr.T0, wm, pr.ackRatio())
-}
-
-// checkDomain asserts the model's domain invariants at an entry point.
-// In the default build it is a no-op (invariant.Enabled is false); built
-// with -tags pftkinvariants it panics on out-of-domain inputs instead of
-// letting clampP absorb them — see internal/invariant.
-func checkDomain(p float64, pr Params) {
-	if !invariant.Enabled {
-		return
-	}
-	invariant.Probability("loss rate p", p)
-	invariant.Positive("RTT", pr.RTT)
-	invariant.Positive("T0", pr.T0)
-	invariant.Finite("Wm", pr.Wm)
-}
-
-// checkRate asserts that a computed rate is finite and non-negative.
-// Only meaningful for p > 0 (every model legitimately diverges at p = 0
-// on an unconstrained connection).
-func checkRate(name string, p, rate float64) float64 {
-	if invariant.Enabled && p > 0 {
-		invariant.NonNegative(name, rate)
-	}
-	return rate
 }
 
 // clampP limits p to the half-open interval the model is defined on.
@@ -402,10 +376,6 @@ func SendRateTDOnly(p float64, rtt, b float64) float64 {
 	if b < 1 {
 		b = DefaultB
 	}
-	if invariant.Enabled {
-		invariant.Probability("loss rate p", p)
-		invariant.Positive("RTT", rtt)
-	}
 	p = clampP(p)
 	if p == 0 {
 		return math.Inf(1)
@@ -420,7 +390,6 @@ func SendRateTDOnly(p float64, rtt, b float64) float64 {
 // extended only with the window limitation but not timeouts; exposed for
 // ablation studies. At p == 0 it returns Wm/RTT when the window is limited.
 func SendRateNoTimeout(p float64, pr Params) float64 {
-	checkDomain(p, pr)
 	p = clampP(p)
 	b := pr.ackRatio()
 	if p == 0 {
@@ -451,7 +420,6 @@ func SendRateNoTimeout(p float64, pr Params) float64 {
 // in packets per second. Boundary behaviour: B(0) = Wm/RTT when the window
 // is limited and +Inf otherwise; B(1) = 0.
 func SendRateFull(p float64, pr Params) float64 {
-	checkDomain(p, pr)
 	p = clampP(p)
 	b := pr.ackRatio()
 	switch p {
@@ -468,13 +436,13 @@ func SendRateFull(p float64, pr Params) float64 {
 		q := QHat(p, wu)
 		num := (1-p)/p + wu + q/(1-p)
 		den := pr.RTT*(b/2*wu+1) + q*pr.T0*FP(p)/(1-p)
-		return checkRate("B(p) full model", p, num/den)
+		return num / den
 	}
 	wm := pr.Wm
 	q := QHat(p, wm)
 	num := (1-p)/p + wm + q/(1-p)
 	den := pr.RTT*(b/8*wm+(1-p)/(p*wm)+2) + q*pr.T0*FP(p)/(1-p)
-	return checkRate("B(p) full model", p, num/den)
+	return num / den
 }
 
 // SendRateApprox returns the paper's "approximate model" of eq. (33):
@@ -485,7 +453,6 @@ func SendRateFull(p float64, pr Params) float64 {
 // in packets per second. When the window is unlimited the Wm/RTT term is
 // dropped.
 func SendRateApprox(p float64, pr Params) float64 {
-	checkDomain(p, pr)
 	p = clampP(p)
 	b := pr.ackRatio()
 	unconstrained := func() float64 {
@@ -497,9 +464,9 @@ func SendRateApprox(p float64, pr Params) float64 {
 		return 1 / den
 	}()
 	if !pr.windowLimited() {
-		return checkRate("B(p) approximate model", p, unconstrained)
+		return unconstrained
 	}
-	return checkRate("B(p) approximate model", p, math.Min(pr.Wm/pr.RTT, unconstrained))
+	return math.Min(pr.Wm/pr.RTT, unconstrained)
 }
 
 // WThroughput returns W(p) of eq. (38) generalized to arbitrary b; for
@@ -524,7 +491,6 @@ func WThroughput(p float64, b float64) float64 { return EW(p, b) }
 // Boundary behaviour matches SendRateFull: T(0) = Wm/RTT (window-limited)
 // or +Inf; T(1) = 0.
 func Throughput(p float64, pr Params) float64 {
-	checkDomain(p, pr)
 	p = clampP(p)
 	b := pr.ackRatio()
 	switch p {
@@ -541,13 +507,13 @@ func Throughput(p float64, pr Params) float64 {
 		q := QHat(p, w)
 		num := (1-p)/p + w/2 + q
 		den := pr.RTT*(b/2*w+1) + q*FP(p)*pr.T0/(1-p)
-		return checkRate("T(p) throughput", p, num/den)
+		return num / den
 	}
 	wm := pr.Wm
 	q := QHat(p, wm)
 	num := (1-p)/p + wm/2 + q
 	den := pr.RTT*(b/8*wm+(1-p)/(p*wm)+2) + q*FP(p)*pr.T0/(1-p)
-	return checkRate("T(p) throughput", p, num/den)
+	return num / den
 }
 
 // Model selects one of the analytic characterizations implemented by this

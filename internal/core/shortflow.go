@@ -52,7 +52,6 @@ func ShortFlowTime(n int, p float64, pr Params) float64 {
 	if n <= 0 {
 		return 0
 	}
-	checkDomain(p, pr)
 	p = clampP(p)
 	b := pr.ackRatio()
 	gamma := 1 + 1/b

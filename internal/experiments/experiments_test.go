@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"pftk/internal/core"
@@ -20,6 +21,19 @@ func quickOpts() Options {
 		IntervalWidth:      100,
 		Salt:               1,
 	}
+}
+
+var (
+	quickAllOnce sync.Once
+	quickAll     []*Report
+)
+
+// quickRunAll returns RunAll(quickOpts()), computed once per test binary:
+// the tests of the whole harness and of its slowest extension (multiflow)
+// share one run.
+func quickRunAll() []*Report {
+	quickAllOnce.Do(func() { quickAll = RunAll(quickOpts()) })
+	return quickAll
 }
 
 func TestOptionsNormalize(t *testing.T) {
@@ -300,7 +314,7 @@ func TestRunAllShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full harness")
 	}
-	reports := RunAll(quickOpts())
+	reports := quickRunAll()
 	if len(reports) != 17 {
 		t.Fatalf("reports = %d, want 17 (10 paper artifacts + 7 extension studies)", len(reports))
 	}

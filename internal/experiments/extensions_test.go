@@ -131,7 +131,15 @@ func TestMultiflowReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates up to 1000 concurrent flows")
 	}
-	r := Multiflow(quickOpts())
+	var r *Report
+	for _, rep := range quickRunAll() {
+		if rep.ID == "multiflow" {
+			r = rep
+		}
+	}
+	if r == nil {
+		t.Fatal("RunAll produced no multiflow report")
+	}
 	tb := r.Tables[0]
 	if tb.NumRows() != len(multiflowPopulations) {
 		t.Fatalf("rows = %d, want %d populations", tb.NumRows(), len(multiflowPopulations))

@@ -149,7 +149,7 @@ type calKey struct {
 
 // calEntry is one memoized calibration. Entries are stored in the cache
 // by pointer — a calEntry contains a sync.Once and must never be copied
-// (the mutexcopy analyzer enforces this repo-wide).
+// (go vet's copylocks check enforces this repo-wide).
 type calEntry struct {
 	once sync.Once
 	pair Pair

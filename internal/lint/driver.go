@@ -1,17 +1,15 @@
-// The whole-repo analysis driver. cmd/pftklint used to be a flat
-// per-package runner that aborted on the first broken package; the
-// Driver turns the suite into a proper pipeline:
+// The whole-repo analysis driver: one serial pipeline that
 //
-//  1. load every requested package, collecting per-package load errors
+//  1. loads every requested package, collecting per-package load errors
 //     instead of aborting (a parse error in one package must not hide
 //     findings — or worse, pretend cleanliness — elsewhere);
-//  2. compute per-package annotation facts (FactTable) so analyzers see
-//     cross-package invariants;
-//  3. run the analyzers package-parallel on internal/workpool (loading
-//     stays serial — the Loader memoizes through shared maps — but
-//     analysis is read-only and embarrassingly parallel);
-//  4. suppress, audit and sort into a deterministic Report that renders
-//     as text or JSON and diffs against a committed baseline.
+//  2. runs the analyzer suite (Run) over the loadable packages, which
+//     computes the cross-package annotation facts, analyzes, applies
+//     //pftklint:ignore suppression and the ignore audit, and sorts;
+//  3. renders the result as a deterministic Report, as text or JSON.
+//
+// Loading dominates: type-checking the module takes seconds, analyzing
+// it tens of milliseconds, so the analyze stage runs serially.
 //
 // Exit-code contract (Report.ExitCode): 0 clean, 1 findings, 2 load
 // errors. Load errors dominate findings — a partially-analyzed module
@@ -21,16 +19,10 @@ package lint
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
-	"sort"
-
-	"pftk/internal/workpool"
 )
 
 // Finding is one diagnostic in report form: the file is relative to the
-// module root, so reports and baselines are stable across checkouts.
+// module root, so reports are stable across checkouts.
 type Finding struct {
 	Analyzer string `json:"analyzer"`
 	File     string `json:"file"`
@@ -86,14 +78,12 @@ func (r *Report) JSON() ([]byte, error) {
 }
 
 // Driver runs the analyzer suite over many packages with lenient
-// loading and package-parallel execution.
+// loading.
 type Driver struct {
 	// Loader supplies the packages. Required.
 	Loader *Loader
 	// Analyzers is the pass list; nil means the full suite.
 	Analyzers []*Analyzer
-	// Workers bounds analysis parallelism; <=0 means GOMAXPROCS.
-	Workers int
 }
 
 // Run loads the requested package directories (nil or empty dirs means
@@ -104,161 +94,24 @@ func (d *Driver) Run(dirs []string) (*Report, error) {
 	if analyzers == nil {
 		analyzers = Analyzers
 	}
-	if len(dirs) == 0 {
-		all, err := d.Loader.Dirs()
-		if err != nil {
-			return nil, err
-		}
-		dirs = all
+	pkgs, loadErrs, err := d.Loader.Load(dirs)
+	if err != nil {
+		return nil, err
 	}
-
-	report := &Report{Module: d.Loader.ModulePath(), Findings: []Finding{}}
-	var pkgs []*Package
-	seen := map[string]bool{}
-	for _, dir := range dirs {
-		pkg, err := d.Loader.LoadDir(dir)
-		if err != nil {
-			report.LoadErrors = append(report.LoadErrors, LoadError{
-				Dir:   d.relPath(dir),
-				Error: err.Error(),
-			})
-			continue
-		}
-		if seen[pkg.Path] {
-			continue
-		}
-		seen[pkg.Path] = true
-		pkgs = append(pkgs, pkg)
+	report := &Report{
+		Module:     d.Loader.ModulePath(),
+		Packages:   len(pkgs),
+		Findings:   []Finding{},
+		LoadErrors: loadErrs,
 	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	sort.Slice(report.LoadErrors, func(i, j int) bool {
-		return report.LoadErrors[i].Dir < report.LoadErrors[j].Dir
-	})
-	report.Packages = len(pkgs)
-
-	// Facts first (cross-package reads during analysis), then the
-	// package-parallel analyze stage. Each package owns one result slot,
-	// so the only synchronization needed is the pool barrier.
-	facts := NewFactTable(pkgs)
-	perPkg := make([][]Diagnostic, len(pkgs))
-	workers := d.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers > 1 {
-		pool := workpool.New(workers, len(pkgs))
-		for i, pkg := range pkgs {
-			i, pkg := i, pkg
-			pool.Submit(func() { perPkg[i] = AnalyzePackage(pkg, analyzers, facts) })
-		}
-		pool.Close()
-	} else {
-		for i, pkg := range pkgs {
-			perPkg[i] = AnalyzePackage(pkg, analyzers, facts)
-		}
-	}
-	var raw []Diagnostic
-	for _, ds := range perPkg {
-		raw = append(raw, ds...)
-	}
-
-	for _, diag := range Finish(pkgs, analyzers, raw) {
+	for _, diag := range Run(pkgs, analyzers) {
 		report.Findings = append(report.Findings, Finding{
 			Analyzer: diag.Analyzer,
-			File:     d.relPath(diag.Pos.Filename),
+			File:     d.Loader.relPath(diag.Pos.Filename),
 			Line:     diag.Pos.Line,
 			Col:      diag.Pos.Column,
 			Message:  diag.Message,
 		})
 	}
 	return report, nil
-}
-
-// relPath renders a path relative to the module root with forward
-// slashes, falling back to the input when it is not under the root.
-func (d *Driver) relPath(path string) string {
-	rel, err := filepath.Rel(d.Loader.Root(), path)
-	if err != nil || rel == ".." || filepath.IsAbs(rel) || len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator) {
-		return filepath.ToSlash(path)
-	}
-	return filepath.ToSlash(rel)
-}
-
-// --- baseline ---
-
-// BaselineEntry identifies one accepted finding. Line numbers are
-// deliberately absent: a baseline must survive unrelated edits above
-// the finding, so the identity is (analyzer, file, message), counted as
-// a multiset.
-type BaselineEntry struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Message  string `json:"message"`
-}
-
-// Baseline is the committed set of accepted findings `-check` diffs
-// against.
-type Baseline struct {
-	Version  int             `json:"version"`
-	Findings []BaselineEntry `json:"findings"`
-}
-
-// NewBaseline captures a report's findings as a baseline.
-func NewBaseline(r *Report) *Baseline {
-	b := &Baseline{Version: 1, Findings: []BaselineEntry{}}
-	for _, f := range r.Findings {
-		b.Findings = append(b.Findings, BaselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message})
-	}
-	return b
-}
-
-// WriteFile writes the baseline as indented JSON.
-func (b *Baseline) WriteFile(path string) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ReadBaseline loads a baseline file.
-func ReadBaseline(path string) (*Baseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var b Baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("lint: baseline %s: %w", path, err)
-	}
-	return &b, nil
-}
-
-// Diff compares a report against the baseline. New findings are in the
-// report but not the baseline; stale entries are baselined findings that
-// no longer fire (they must be pruned, or they will mask a future
-// regression with the same message). Both multisets respect counts.
-func (b *Baseline) Diff(r *Report) (news []Finding, stale []BaselineEntry) {
-	counts := map[BaselineEntry]int{}
-	for _, e := range b.Findings {
-		counts[e]++
-	}
-	for _, f := range r.Findings {
-		key := BaselineEntry{Analyzer: f.Analyzer, File: f.File, Message: f.Message}
-		if counts[key] > 0 {
-			counts[key]--
-			continue
-		}
-		news = append(news, f)
-	}
-	for _, e := range b.Findings {
-		if counts[e] > 0 {
-			counts[e]--
-			stale = append(stale, e)
-		}
-	}
-	return news, stale
 }

@@ -11,13 +11,13 @@ import "fmt"
 //
 // Unlike every other analyzer it cannot run per package: staleness is
 // only decidable after suppression has been applied, so its Run is a
-// marker and the real logic lives in Finish (auditIgnores). Staleness is
+// marker and the real logic runs in lint.Run (auditIgnores). Staleness is
 // audited only for analyzers that were part of the run — `-only
 // floatcmp` must not condemn every hotalloc ignore in the module.
 var IgnoreAuditAnalyzer = &Analyzer{
 	Name: "ignoreaudit",
 	Doc:  "flags malformed, unknown-analyzer and stale //pftklint:ignore directives",
-	Run:  nil, // special-cased in Finish; see auditIgnores
+	Run:  nil, // special-cased in lint.Run; see auditIgnores
 }
 
 // auditIgnores produces the ignoreaudit findings for the collected

@@ -11,7 +11,6 @@
 //     against constants and are therefore allowed).
 //   - errdrop: discarded error results in non-test code.
 //   - panicstyle: panic messages must carry the "<pkg>: " prefix.
-//   - mutexcopy: sync.Mutex-bearing values passed or copied by value.
 //   - ctorparams: exported New* constructors taking more than 5
 //     positional parameters (use a config struct or functional options).
 //   - hotalloc: capturing closures and append calls inside functions
@@ -60,8 +59,8 @@ type Analyzer struct {
 	// Doc is a one-line description.
 	Doc string
 	// Run inspects one package and reports findings through the pass.
-	// The ignoreaudit analyzer is the one exception: it runs inside
-	// Finish, after suppression, and its Run is a no-op marker.
+	// The ignoreaudit analyzer is the one exception: Run (the suite
+	// function) audits after suppression, and its Run is nil.
 	Run func(*Pass)
 }
 
@@ -70,7 +69,6 @@ var Analyzers = []*Analyzer{
 	FloatCmpAnalyzer,
 	ErrDropAnalyzer,
 	PanicStyleAnalyzer,
-	MutexCopyAnalyzer,
 	CtorParamsAnalyzer,
 	HotAllocAnalyzer,
 	DeterminismAnalyzer,
@@ -133,38 +131,21 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // diagnostics sorted by position. Findings suppressed by
 // //pftklint:ignore directives are dropped; when the ignoreaudit
 // analyzer is part of the run, malformed and stale directives become
-// findings. Run is the serial path; the Driver parallelizes
-// AnalyzePackage across packages and funnels into the same Finish.
+// findings.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	facts := NewFactTable(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, AnalyzePackage(pkg, analyzers, facts)...)
-	}
-	return Finish(pkgs, analyzers, diags)
-}
-
-// AnalyzePackage runs every analyzer over one package and returns the
-// raw (unfiltered, unsorted) diagnostics. It touches only the package
-// and the read-only fact table, so the driver may call it from multiple
-// goroutines for different packages concurrently.
-func AnalyzePackage(pkg *Package, analyzers []*Analyzer, facts *FactTable) []Diagnostic {
-	var diags []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
+		for _, a := range analyzers {
+			if a.Run == nil {
+				continue
+			}
+			pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts}
+			a.Run(pass)
+			diags = append(diags, pass.diags...)
 		}
-		pass := &Pass{Analyzer: a, Pkg: pkg, Facts: facts}
-		a.Run(pass)
-		diags = append(diags, pass.diags...)
 	}
-	return diags
-}
 
-// Finish applies ignore-directive suppression to raw diagnostics, runs
-// the ignore audit when requested, and returns the survivors sorted by
-// position.
-func Finish(pkgs []*Package, analyzers []*Analyzer, diags []Diagnostic) []Diagnostic {
 	dirs := collectIgnores(pkgs)
 	used := map[ignoreKey]bool{}
 	diags = filterIgnored(dirs, diags, used)

@@ -3,14 +3,13 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/build/constraint"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -32,10 +31,10 @@ type Package struct {
 }
 
 // Loader discovers, parses and type-checks every package of a Go module
-// using only the standard library: go/parser for syntax, go/types with the
-// "source" importer for semantics, and go/build/constraint for build-tag
-// evaluation. It deliberately avoids golang.org/x/tools/go/packages to
-// honour the repository's zero-dependency constraint.
+// using only the standard library: go/build for file selection, go/parser
+// for syntax and go/types with the "source" importer for semantics. It
+// deliberately avoids golang.org/x/tools/go/packages to honour the
+// repository's zero-dependency constraint.
 //
 // Limitations (acceptable for a single self-contained module): external
 // test packages (package foo_test) are never loaded, cgo is not supported,
@@ -44,9 +43,6 @@ type Package struct {
 type Loader struct {
 	// IncludeTests also loads in-package _test.go files.
 	IncludeTests bool
-	// Tags are extra build tags considered satisfied (beyond GOOS,
-	// GOARCH, "gc" and go1.N version tags).
-	Tags []string
 
 	fset    *token.FileSet
 	root    string // absolute module root (directory of go.mod)
@@ -89,14 +85,8 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Root returns the absolute module root directory.
-func (l *Loader) Root() string { return l.root }
-
 // ModulePath returns the module path declared in go.mod.
 func (l *Loader) ModulePath() string { return l.modPath }
-
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // modulePath extracts the module declaration from a go.mod file.
 func modulePath(gomod string) (string, error) {
@@ -147,11 +137,9 @@ func (l *Loader) Dirs() ([]string, error) {
 		if path != l.root && skippedDir(d.Name()) {
 			return filepath.SkipDir
 		}
-		names, err := l.sourceFiles(path)
-		if err != nil {
-			return err
-		}
-		if len(names) > 0 {
+		// A directory go/build rejects is kept, so loading it reports
+		// the error as that package's load error.
+		if names, err := l.sourceFiles(path); err != nil || len(names) > 0 {
 			dirs = append(dirs, path)
 		}
 		return nil
@@ -163,29 +151,51 @@ func (l *Loader) Dirs() ([]string, error) {
 	return dirs, nil
 }
 
-// LoadAll loads every package under the module root and returns them
-// sorted by import path. The first broken package aborts the load; the
-// Driver is the lenient path that collects per-package errors instead.
-func (l *Loader) LoadAll() ([]*Package, error) {
-	dirs, err := l.Dirs()
-	if err != nil {
-		return nil, err
-	}
-	var out []*Package
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
+// Load loads the packages in dirs (nil or empty dirs means every package
+// of the module) and returns them sorted by import path. Loading is
+// lenient: a package that fails to parse or type-check becomes a
+// LoadError, sorted by directory, and every other package still loads.
+// The error is non-nil only when the module walk itself fails.
+func (l *Loader) Load(dirs []string) ([]*Package, []LoadError, error) {
+	if len(dirs) == 0 {
+		all, err := l.Dirs()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		out = append(out, pkg)
+		dirs = all
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
+	var pkgs []*Package
+	var loadErrs []LoadError
+	seen := map[string]bool{}
+	for _, dir := range dirs {
+		pkg, err := l.loadDir(dir)
+		if err != nil {
+			loadErrs = append(loadErrs, LoadError{Dir: l.relPath(dir), Error: err.Error()})
+			continue
+		}
+		if !seen[pkg.Path] {
+			seen[pkg.Path] = true
+			pkgs = append(pkgs, pkg)
+		}
+	}
+	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
+	sort.Slice(loadErrs, func(i, j int) bool { return loadErrs[i].Dir < loadErrs[j].Dir })
+	return pkgs, loadErrs, nil
 }
 
-// LoadDir loads the package in a single directory (which must live inside
+// relPath renders a path relative to the module root with forward
+// slashes, falling back to the input when it is not under the root.
+func (l *Loader) relPath(path string) string {
+	rel, err := filepath.Rel(l.root, path)
+	if err != nil || rel == ".." || filepath.IsAbs(rel) || len(rel) >= 3 && rel[:3] == ".."+string(filepath.Separator) {
+		return filepath.ToSlash(path)
+	}
+	return filepath.ToSlash(rel)
+}
+
+// loadDir loads the package in a single directory (which must live inside
 // the module).
-func (l *Loader) LoadDir(dir string) (*Package, error) {
+func (l *Loader) loadDir(dir string) (*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -251,27 +261,12 @@ func (l *Loader) load(path string) (*Package, error) {
 	}
 
 	var files []*ast.File
-	pkgName := ""
 	for _, name := range names {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		n := f.Name.Name
-		if strings.HasSuffix(n, "_test") && n != "test" {
-			// External test package file (package foo_test): never part
-			// of the package proper.
-			continue
-		}
-		if pkgName == "" {
-			pkgName = n
-		} else if n != pkgName {
-			return nil, fmt.Errorf("lint: %s: found packages %s and %s", dir, pkgName, n)
-		}
 		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no buildable Go files in %s", dir)
 	}
 
 	info := &types.Info{
@@ -300,135 +295,22 @@ func (l *Loader) load(path string) (*Package, error) {
 }
 
 // sourceFiles lists the .go files of dir that belong to the analyzed
-// build: test files only when IncludeTests, and build constraints (both
-// //go:build lines and GOOS/GOARCH filename suffixes) evaluated for the
-// host configuration.
+// build, as go/build selects them for the host configuration: build
+// constraints and GOOS/GOARCH filename suffixes applied, external test
+// files (package foo_test) never, in-package test files only when
+// IncludeTests is set. A directory without Go files yields none.
 func (l *Loader) sourceFiles(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
+	bp, err := build.Default.ImportDir(dir, 0)
+	if _, ok := err.(*build.NoGoError); ok {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") {
-			continue
-		}
-		if strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
-			continue
-		}
-		if !l.fileNameOK(name) {
-			continue
-		}
-		ok, err := l.constraintsOK(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			names = append(names, name)
-		}
+	names := bp.GoFiles
+	if l.IncludeTests {
+		names = append(names, bp.TestGoFiles...)
+		sort.Strings(names)
 	}
-	sort.Strings(names)
 	return names, nil
-}
-
-// knownOS / knownArch cover the filename-suffix constraint rule; only the
-// values that could plausibly appear in this repository's history are
-// listed, plus the host values.
-var knownOS = map[string]bool{
-	"linux": true, "darwin": true, "windows": true, "freebsd": true,
-	"netbsd": true, "openbsd": true, "plan9": true, "solaris": true,
-	"js": true, "wasip1": true, "android": true, "ios": true, "aix": true,
-}
-
-var knownArch = map[string]bool{
-	"amd64": true, "arm64": true, "386": true, "arm": true,
-	"riscv64": true, "ppc64": true, "ppc64le": true, "s390x": true,
-	"mips": true, "mipsle": true, "mips64": true, "mips64le": true,
-	"loong64": true, "wasm": true,
-}
-
-// fileNameOK applies the GOOS/GOARCH filename suffix rule.
-func (l *Loader) fileNameOK(name string) bool {
-	base := strings.TrimSuffix(name, ".go")
-	base = strings.TrimSuffix(base, "_test")
-	parts := strings.Split(base, "_")
-	if len(parts) == 0 {
-		return true
-	}
-	last := parts[len(parts)-1]
-	if knownArch[last] {
-		if last != runtime.GOARCH {
-			return false
-		}
-		if len(parts) >= 2 && knownOS[parts[len(parts)-2]] && parts[len(parts)-2] != runtime.GOOS {
-			return false
-		}
-		return true
-	}
-	if knownOS[last] {
-		return last == runtime.GOOS
-	}
-	return true
-}
-
-// constraintsOK evaluates a file's //go:build line (if any) against the
-// host configuration and the loader's extra tags.
-func (l *Loader) constraintsOK(path string) (bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return false, err
-	}
-	// The //go:build line must appear before the package clause; scanning
-	// the raw lines up to the first "package " declaration is sufficient
-	// and avoids a second full parse.
-	for _, line := range strings.Split(string(data), "\n") {
-		trimmed := strings.TrimSpace(line)
-		if constraint.IsGoBuild(trimmed) {
-			expr, err := constraint.Parse(trimmed)
-			if err != nil {
-				return false, fmt.Errorf("lint: %s: %w", path, err)
-			}
-			return expr.Eval(l.tagOK), nil
-		}
-		if strings.HasPrefix(trimmed, "package ") {
-			break
-		}
-	}
-	return true, nil
-}
-
-// tagOK reports whether a build tag is satisfied in the analyzed
-// configuration.
-func (l *Loader) tagOK(tag string) bool {
-	switch tag {
-	case runtime.GOOS, runtime.GOARCH, "gc":
-		return true
-	case "unix":
-		switch runtime.GOOS {
-		case "linux", "darwin", "freebsd", "netbsd", "openbsd", "solaris", "aix", "android", "ios":
-			return true
-		}
-		return false
-	}
-	if v, ok := strings.CutPrefix(tag, "go1."); ok {
-		// All release tags up to the toolchain's own version are true;
-		// parsing runtime.Version is overkill for a repo pinned far
-		// below it, so accept every well-formed go1.N tag.
-		for _, r := range v {
-			if r < '0' || r > '9' {
-				return false
-			}
-		}
-		return v != ""
-	}
-	for _, t := range l.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
 }

@@ -71,29 +71,14 @@ func TestJain(t *testing.T) {
 	}
 }
 
-// TestDeterminism: same config, two runs, identical digests.
+// TestDeterminism: same config, one serial run and runs executed
+// concurrently from other goroutines, identical digests (run this under
+// -race).
 func TestDeterminism(t *testing.T) {
 	cfg := symmetricConfig(6, 150)
-	a := Run(cfg).Digest()
-	b := Run(cfg).Digest()
-	if a != b {
-		t.Fatalf("same config digests differ:\n%s\n%s", a, b)
-	}
-}
-
-// TestSymmetricFairness100 is the acceptance gate: 100 symmetric flows
-// through one shared bottleneck must converge to a Jain index of at
-// least 0.9, and a serial run must be byte-identical to runs executed
-// concurrently from other goroutines (run this under -race).
-func TestSymmetricFairness100(t *testing.T) {
-	if testing.Short() {
-		t.Skip("100-flow campaign is slow")
-	}
-	cfg := symmetricConfig(100, 400)
-	serial := Run(cfg)
-	if j := serial.Fairness.Jain; j < 0.9 {
-		t.Errorf("jain = %v, want >= 0.9 (rates min %v max %v)",
-			j, minOf(serial.Fairness.Rates), maxOf(serial.Fairness.Rates))
+	want := Run(cfg).Digest()
+	if again := Run(cfg).Digest(); again != want {
+		t.Fatalf("same config digests differ:\n%s\n%s", want, again)
 	}
 
 	const workers = 3
@@ -107,11 +92,25 @@ func TestSymmetricFairness100(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	want := serial.Digest()
 	for w, d := range digests {
 		if d != want {
 			t.Errorf("worker %d digest differs from serial run", w)
 		}
+	}
+}
+
+// TestSymmetricFairness100 is the acceptance gate: 100 symmetric flows
+// through one shared bottleneck must converge to a Jain index of at
+// least 0.9.
+func TestSymmetricFairness100(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100-flow campaign is slow")
+	}
+	cfg := symmetricConfig(100, 400)
+	res := Run(cfg)
+	if j := res.Fairness.Jain; j < 0.9 {
+		t.Errorf("jain = %v, want >= 0.9 (rates min %v max %v)",
+			j, minOf(res.Fairness.Rates), maxOf(res.Fairness.Rates))
 	}
 }
 

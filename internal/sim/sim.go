@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"math"
 
-	"pftk/internal/invariant"
 	"pftk/internal/obs"
 	"pftk/internal/pkt"
 )
@@ -211,12 +210,6 @@ func (e *Engine) SchedulePacket(at float64, fn func(pkt.Packet), p pkt.Packet) E
 //
 //pftk:hotpath
 func (e *Engine) schedule(at float64, fn func(), pktFn func(pkt.Packet), p pkt.Packet) Event {
-	if invariant.Enabled {
-		// Stricter than the NaN/past check below: +Inf event times are
-		// legal (they simply never fire before any finite deadline) but
-		// almost always indicate a broken delay computation upstream.
-		invariant.Finite("sim: event time", at)
-	}
 	if math.IsNaN(at) || at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
 	}

@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"pftk/internal/invariant"
 )
 
 // Running accumulates count, mean and variance in one pass using
@@ -24,11 +22,8 @@ type Running struct {
 
 // Add incorporates one observation. A NaN or ±Inf observation poisons
 // the accumulator deterministically (Mean, Var and Std become NaN and
-// stay NaN); under the pftkinvariants build tag it panics instead.
+// stay NaN).
 func (r *Running) Add(x float64) {
-	if invariant.Enabled {
-		invariant.Finite("stats: sample", x)
-	}
 	if r.n == 0 {
 		r.min, r.max = x, x
 	} else {
