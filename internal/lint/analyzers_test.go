@@ -779,23 +779,22 @@ func TestSpanEndFixture(t *testing.T) {
 
 func TestParseIgnore(t *testing.T) {
 	cases := []struct {
-		text string
-		want []string
+		text      string
+		ok        bool // a directive at all
+		names     []string
+		justified bool // honoured by the filter
 	}{
-		{"//pftklint:ignore floatcmp because reasons", []string{"floatcmp"}},
-		{"//pftklint:ignore floatcmp,errdrop shared justification", []string{"floatcmp", "errdrop"}},
-		{"//pftklint:ignore floatcmp", nil}, // no justification: not honoured
-		{"// pftklint:ignore floatcmp why", nil},
-		{"// ordinary comment", nil},
+		{"//pftklint:ignore floatcmp because reasons", true, []string{"floatcmp"}, true},
+		{"//pftklint:ignore floatcmp,errdrop shared justification", true, []string{"floatcmp", "errdrop"}, true},
+		{"//pftklint:ignore floatcmp", true, []string{"floatcmp"}, false}, // no justification: not honoured
+		{"//pftklint:ignore", true, nil, false},                           // no analyzer list
+		{"// pftklint:ignore floatcmp why", false, nil, false},
+		{"// ordinary comment", false, nil, false},
 	}
 	for _, c := range cases {
-		got, ok := parseIgnore(c.text)
-		if (c.want == nil) != !ok {
-			t.Errorf("parseIgnore(%q) ok=%v, want %v", c.text, ok, c.want != nil)
-			continue
-		}
-		if fmt.Sprint(got) != fmt.Sprint([]string(c.want)) && c.want != nil {
-			t.Errorf("parseIgnore(%q) = %v, want %v", c.text, got, c.want)
+		names, justified, ok := parseIgnore(c.text)
+		if ok != c.ok || justified != c.justified || fmt.Sprint(names) != fmt.Sprint(c.names) {
+			t.Errorf("parseIgnore(%q) = %v, %v, %v; want %v, %v, %v", c.text, names, justified, ok, c.names, c.justified, c.ok)
 		}
 	}
 }

@@ -198,16 +198,11 @@ func collectIgnores(pkgs []*Package) []ignoreDirective {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					rest, ok := strings.CutPrefix(c.Text, "//pftklint:ignore")
+					names, justified, ok := parseIgnore(c.Text)
 					if !ok {
 						continue
 					}
-					d := ignoreDirective{pos: pkg.Fset.Position(c.Pos())}
-					if fields := strings.Fields(rest); len(fields) > 0 {
-						d.names = strings.Split(fields[0], ",")
-						d.justified = len(fields) >= 2
-					}
-					dirs = append(dirs, d)
+					dirs = append(dirs, ignoreDirective{pos: pkg.Fset.Position(c.Pos()), names: names, justified: justified})
 				}
 			}
 		}
@@ -248,17 +243,20 @@ func filterIgnored(dirs []ignoreDirective, diags []Diagnostic, used map[ignoreKe
 	return kept
 }
 
-// parseIgnore recognizes "//pftklint:ignore name[,name...] justification"
-// directives. A directive without a justification is not honoured: the
-// whole point of an ignore is recording why the rule does not apply.
-func parseIgnore(text string) ([]string, bool) {
+// parseIgnore parses a "//pftklint:ignore name[,name...] justification"
+// comment. ok reports whether text is a directive at all; names is nil
+// when the analyzer list is missing, and justified reports whether a
+// justification followed it. Only a justified directive suppresses
+// anything: the whole point of an ignore is recording why the rule does
+// not apply. The audit reports the malformed ones.
+func parseIgnore(text string) (names []string, justified, ok bool) {
 	rest, ok := strings.CutPrefix(text, "//pftklint:ignore")
 	if !ok {
-		return nil, false
+		return nil, false, false
 	}
-	fields := strings.Fields(rest)
-	if len(fields) < 2 {
-		return nil, false // missing analyzer list or justification
+	if fields := strings.Fields(rest); len(fields) > 0 {
+		names = strings.Split(fields[0], ",")
+		justified = len(fields) >= 2
 	}
-	return strings.Split(fields[0], ","), true
+	return names, justified, true
 }

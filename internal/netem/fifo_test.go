@@ -84,3 +84,47 @@ func TestQuickFIFOThroughQueue(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestConstantDelayStepDown: packets on a constant delay ride the
+// engine's lane; after the delay steps down mid-stream, new packets are
+// clamped behind those already in flight (and so take the heap) until
+// the shorter delay clears them. Deliveries must keep send order and
+// arrive exactly at max(send + delay, previous delivery).
+func TestConstantDelayStepDown(t *testing.T) {
+	var eng sim.Engine
+	l := NewLink(&eng, LinkConfig{Delay: ConstantDelay(0.1)})
+	type arrival struct {
+		seq int
+		at  float64
+	}
+	var got []arrival
+	deliver := func(p pkt.Packet) { got = append(got, arrival{int(p.Seq), eng.Now()}) }
+	const n = 20
+	var want []float64
+	last := 0.0
+	for i := 0; i < n; i++ {
+		i := i
+		sent := float64(i) * 0.01
+		d := 0.1
+		if i >= 5 {
+			d = 0.02
+		}
+		at := sent + d
+		if at < last {
+			at = last
+		}
+		last = at
+		want = append(want, at)
+		eng.Schedule(sent, func() { l.Send(pk(i), deliver) })
+	}
+	eng.Schedule(0.045, func() { l.SetDelay(ConstantDelay(0.02)) })
+	eng.Run()
+	if len(got) != n {
+		t.Fatalf("delivered %d packets, want %d", len(got), n)
+	}
+	for i, a := range got {
+		if a.seq != i || a.at != want[i] {
+			t.Errorf("delivery %d: packet %d at %v, want packet %d at %v", i, a.seq, a.at, i, want[i])
+		}
+	}
+}

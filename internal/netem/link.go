@@ -126,7 +126,8 @@ type Link struct {
 	busy    bool
 	queue   ring
 	stats   LinkStats
-	lastOut float64 // latest scheduled delivery time, for FIFO clamping
+	lastOut float64   // latest scheduled delivery time, for FIFO clamping
+	lane    *sim.Lane // the engine's lane for a ConstantDelay; nil for any other delay
 
 	// In-service packet and the pre-built completion callback, so serving
 	// a packet schedules a stored func instead of allocating a closure
@@ -210,7 +211,7 @@ func NewLink(eng *sim.Engine, cfg LinkConfig) *Link {
 	if eng == nil {
 		panic("netem: nil engine")
 	}
-	l := &Link{eng: eng, cfg: cfg}
+	l := &Link{eng: eng, cfg: cfg, lane: constantLane(eng, cfg.Delay)}
 	l.queue.presize(cfg.QueueCap)
 	l.txDone = l.onTxDone
 	return l
@@ -369,18 +370,22 @@ func (l *Link) onTxDone() {
 // overtake its predecessors, which is exactly the pathology the fault
 // injects.
 //
+// A constant delay that the clamp left alone rides the engine's lane for
+// that delay, which fires it at the same time and in the same order as a
+// heap event would. A clamped time (only possible right after the delay
+// stepped down) is not Now plus the lane's delay, so it takes the heap.
+//
 //pftk:hotpath
 func (l *Link) propagate(payload pkt.Packet, deliver func(pkt.Packet)) {
 	d := 0.0
 	if l.cfg.Delay != nil {
 		d = l.cfg.Delay.Delay(l.eng.Now())
 	}
-	if d < 0 || math.IsNaN(d) {
-		d = 0
-	}
-	at := l.eng.Now() + d
+	at := l.eng.Now() + clampDelay(d)
+	clamped := false
 	if !l.reorder && at < l.lastOut {
 		at = l.lastOut
+		clamped = true
 	}
 	if at > l.lastOut {
 		l.lastOut = at
@@ -390,7 +395,29 @@ func (l *Link) propagate(payload pkt.Packet, deliver func(pkt.Packet)) {
 		fs.Delivered++
 	}
 	l.cfg.Metrics.Delivered.Inc()
+	if l.lane != nil && !clamped {
+		l.lane.SchedulePacket(deliver, payload)
+		return
+	}
 	l.eng.SchedulePacket(at, deliver, payload)
+}
+
+// clampDelay treats a negative or NaN delay as zero.
+func clampDelay(d float64) float64 {
+	if d < 0 || math.IsNaN(d) {
+		return 0
+	}
+	return d
+}
+
+// constantLane returns eng's lane for a ConstantDelay process, or nil for
+// any other process.
+func constantLane(eng *sim.Engine, dp DelayProcess) *sim.Lane {
+	cd, ok := dp.(ConstantDelay)
+	if !ok {
+		return nil
+	}
+	return eng.Lane(clampDelay(float64(cd)))
 }
 
 // SetLoss replaces the link's loss model; nil disables loss. Effective
@@ -402,7 +429,10 @@ func (l *Link) Loss() LossModel { return l.cfg.Loss }
 
 // SetDelay replaces the link's propagation-delay process; nil means zero
 // delay. In-flight packets keep the delay they were assigned.
-func (l *Link) SetDelay(d DelayProcess) { l.cfg.Delay = d }
+func (l *Link) SetDelay(d DelayProcess) {
+	l.cfg.Delay = d
+	l.lane = constantLane(l.eng, d)
+}
 
 // Delay returns the link's current delay process.
 func (l *Link) Delay() DelayProcess { return l.cfg.Delay }

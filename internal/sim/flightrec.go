@@ -11,7 +11,8 @@ import (
 type FlightKind uint8
 
 const (
-	// FlightSchedule records a successful Schedule/ScheduleArg/After.
+	// FlightSchedule records a successful Schedule, SchedulePacket,
+	// After or Lane.SchedulePacket.
 	FlightSchedule FlightKind = iota
 	// FlightFire records an event about to run its callback. It is
 	// written before the callback executes, so a panicking event leaves

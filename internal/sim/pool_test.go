@@ -9,8 +9,11 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"strings"
 	"testing"
+
+	"pftk/internal/pkt"
 )
 
 // TestCancelThenRescheduleSlotReuse: cancelling an event recycles its
@@ -269,32 +272,77 @@ func (o *oracleEngine) step() bool {
 	return true
 }
 
-// checkLengths compares the engine's explicit heap length with the
-// oracle's queue depth, and requires every arena slot to be either
-// queued or on the free list.
+// checkLengths compares the engine's pending count with the oracle's
+// queue depth, and requires every arena slot to be exactly one of: queued
+// in the heap (outside a vacant root), on the free list, or the slot of
+// an empty lane. A queued lane slot must belong to a non-empty lane, and
+// the heap's non-lane nodes plus every lane's items must add up to the
+// pending count.
 func checkLengths(t *testing.T, op int, e *Engine, oracle int) {
 	t.Helper()
 	if e.Pending() != oracle {
 		t.Fatalf("op %d: pending %d vs oracle %d", op, e.Pending(), oracle)
 	}
-	if e.nheap+e.nfree != len(e.slots) {
-		t.Fatalf("op %d: %d queued + %d free != %d slots", op, e.nheap, e.nfree, len(e.slots))
+	uses := make([]int, len(e.slots))
+	events := 0
+	first := 0
+	if e.hole {
+		first = 1
+	}
+	for i := first; i < e.nheap; i++ {
+		id := e.heap[i].id
+		uses[id]++
+		if int(e.slots[id].heapIdx) != i {
+			t.Fatalf("op %d: heap[%d] holds slot %d whose heapIdx is %d", op, i, id, e.slots[id].heapIdx)
+		}
+		if l := e.slots[id].lane; l != nil {
+			if l.n == 0 {
+				t.Fatalf("op %d: empty lane %g is queued in the heap", op, l.delay)
+			}
+			events += l.n
+		} else {
+			events++
+		}
+	}
+	for _, id := range e.free[:e.nfree] {
+		uses[id]++
+	}
+	for _, l := range e.lanes {
+		if e.slots[l.id].heapIdx < 0 {
+			uses[l.id]++
+			if l.n != 0 {
+				t.Fatalf("op %d: lane %g holds %d items but is not queued", op, l.delay, l.n)
+			}
+		}
+	}
+	for id, n := range uses {
+		if n != 1 {
+			t.Fatalf("op %d: slot %d is accounted %d times (queued, free or idle lane), want once", op, id, n)
+		}
+	}
+	if events != e.Pending() {
+		t.Fatalf("op %d: heap and lanes hold %d events, Pending reports %d", op, events, e.Pending())
 	}
 }
 
 // TestRandomizedScheduleCancelSoakVsOracle drives the pooled engine and
 // the container/heap oracle through the same long pseudo-random sequence
 // of schedule / cancel / step operations — including cancels through
-// stale handles whose slots have been recycled — and requires identical
-// fire order, identical cancel outcomes, and identical clocks throughout,
-// with the engine's explicit heap length matching the oracle's queue
-// depth after every operation, the final drain included. Coarsely quantized fire times force frequent ties so the seq tiebreak
-// is exercised across recycling.
+// stale handles whose slots have been recycled, lane deliveries on a few
+// constant delays (plain events to the oracle), and events whose
+// callbacks cancel a heap event and schedule a lane delivery while the
+// fired root is still vacant — and requires identical fire order,
+// identical cancel outcomes, and identical clocks throughout, with the
+// engine's pending count and slot accounting checked after every
+// operation, the final drain included. Coarsely quantized fire times and
+// delays force frequent ties so the seq tiebreak is exercised across
+// recycling and between lanes and the heap.
 func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 	rng := NewRNG(0xdecade)
 	var e Engine
 	var o oracleEngine
 	var got, want []int
+	var gotCancels, wantCancels []bool
 
 	type pair struct {
 		ev Event
@@ -303,17 +351,63 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 	var handles []pair // includes stale entries on purpose
 	token := 0
 
+	delays := []float64{0, 0.25, 1.5, 2.5}
+	lanes := make([]*Lane, len(delays))
+	for i, d := range delays {
+		lanes[i] = e.Lane(d)
+	}
+	laneFired := func(p pkt.Packet) { got = append(got, int(p.Seq)) }
+
+	// checkFired compares the newest fire and the clocks after op.
+	checkFired := func(op int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("op %d: fired %d events, oracle fired %d", op, len(got), len(want))
+		}
+		if n := len(got); n > 0 && got[n-1] != want[n-1] {
+			t.Fatalf("op %d: fire order diverges at %d: pooled=%d oracle=%d", op, n-1, got[n-1], want[n-1])
+		}
+		if e.Now() < o.now || e.Now() > o.now {
+			t.Fatalf("op %d: clock %g vs oracle %g", op, e.Now(), o.now)
+		}
+	}
+
 	const ops = 30000
 	for i := 0; i < ops; i++ {
-		switch op := rng.Intn(10); {
-		case op < 5: // schedule a new event at a coarse future time
+		switch op := rng.Intn(20); {
+		case op < 6: // schedule a new event at a coarse future time
 			tok := token
 			token++
 			at := e.Now() + float64(rng.Intn(40))/4
 			ev := e.Schedule(at, func() { got = append(got, tok) })
 			oe := o.schedule(at, func() { want = append(want, tok) })
 			handles = append(handles, pair{ev, oe})
-		case op < 8: // cancel a random handle, possibly stale
+		case op < 8: // schedule an event that cancels and reschedules when it fires
+			if len(handles) == 0 {
+				break
+			}
+			tok, next := token, token+1
+			token += 2
+			target := handles[rng.Intn(len(handles))]
+			k := rng.Intn(len(lanes))
+			at := e.Now() + float64(rng.Intn(40))/4
+			ev := e.Schedule(at, func() {
+				got = append(got, tok)
+				gotCancels = append(gotCancels, e.Cancel(target.ev))
+				lanes[k].SchedulePacket(laneFired, pkt.Packet{Seq: uint64(next)})
+			})
+			oe := o.schedule(at, func() {
+				want = append(want, tok)
+				wantCancels = append(wantCancels, o.cancel(target.oe))
+				o.schedule(o.now+delays[k], func() { want = append(want, next) })
+			})
+			handles = append(handles, pair{ev, oe})
+		case op < 10: // schedule a lane delivery; a plain event to the oracle
+			tok, k := token, rng.Intn(len(lanes))
+			token++
+			lanes[k].SchedulePacket(laneFired, pkt.Packet{Seq: uint64(tok)})
+			o.schedule(e.Now()+delays[k], func() { want = append(want, tok) })
+		case op < 16: // cancel a random handle, possibly stale
 			if len(handles) == 0 {
 				break
 			}
@@ -329,12 +423,14 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 			}
 		}
 		checkLengths(t, i, &e, len(o.heap))
+		checkFired(i)
 	}
 	for e.Step() {
 		if !o.step() {
 			t.Fatal("oracle drained before pooled engine")
 		}
 		checkLengths(t, ops, &e, len(o.heap))
+		checkFired(ops)
 	}
 	if o.step() {
 		t.Fatal("pooled engine drained before oracle")
@@ -346,6 +442,9 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("fire order diverges at %d: pooled=%d oracle=%d", i, got[i], want[i])
 		}
+	}
+	if fmt.Sprint(gotCancels) != fmt.Sprint(wantCancels) {
+		t.Fatalf("in-callback cancel outcomes diverge:\npooled %v\noracle %v", gotCancels, wantCancels)
 	}
 	if e.Now() < o.now || e.Now() > o.now {
 		t.Fatalf("clock %g vs oracle %g", e.Now(), o.now)

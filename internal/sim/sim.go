@@ -1,7 +1,8 @@
 // Package sim provides the discrete-event simulation engine underneath the
 // network emulator and the TCP Reno implementation: a pooled event arena
 // behind a monomorphic 4-ary min-heap with a virtual clock, stable FIFO
-// ordering for simultaneous events, and cancellable timers.
+// ordering for simultaneous events, cancellable timers, and FIFO lanes
+// for constant-delay packet deliveries.
 //
 // Time is a float64 number of seconds since the start of the simulation.
 // Determinism: given the same sequence of Schedule calls, Run always fires
@@ -24,6 +25,31 @@
 // integer length and never re-store a slice header, so they trigger no
 // GC write barrier; the only pointer stores left on the hot path are the
 // callback fields of a slot being filled or recycled.
+//
+// # Lanes
+//
+// A delivery scheduled a constant delay d after Now is due at Now+d, and
+// since the clock never runs backwards, neither does that time: every
+// delivery scheduled with the same d is due no earlier than the one
+// scheduled before it. Lane(d) keeps such deliveries in one FIFO ring per
+// distinct d (shared by every caller on the engine), and only the ring's
+// head is a node in the heap, standing on an arena slot the lane owns.
+// When the head fires, the lane's next head replaces it at the heap root.
+// A lane event draws its sequence number from the same counter as a heap
+// event, when it is scheduled, so the ring is sorted by (time, seq) and
+// the engine fires lane and heap events in exactly the (time, seq) order
+// one heap holding them all would. A link whose packets are all in
+// propagation thus costs the heap one node, not one per packet.
+//
+// # Deferred pop
+//
+// Step leaves the fired root vacant rather than refilling it from the
+// last leaf at once. The first heap insert made by the callback (typically
+// the next transmission or timer) drops into the hole and sifts down from
+// the root; anything else that needs the heap whole (Cancel, the next
+// Step) first fills the hole from the last leaf, which is exactly the
+// pop the engine skipped. Either way the heap holds the same set of
+// nodes as with an eager pop, so the fire order is unchanged.
 //
 // # Handle safety
 //
@@ -59,6 +85,7 @@ type slot struct {
 	fn      func()           // callback for Schedule/After events
 	pktFn   func(pkt.Packet) // callback for SchedulePacket events
 	pkt     pkt.Packet       // payload delivered to pktFn
+	lane    *Lane            // the lane whose head this slot stands for; nil for a heap event
 	gen     uint32           // bumped on recycle; validates Event handles
 	heapIdx int32            // position in Engine.heap, -1 when not queued
 }
@@ -95,8 +122,9 @@ type Hooks struct {
 	// fire time and the queue depth left behind (including anything the
 	// event itself scheduled).
 	EventFired func(now float64, pending int)
-	// Scheduled is called after each successful Schedule with the
-	// event's fire time and the resulting queue depth.
+	// Scheduled is called after each successful Schedule (lane
+	// deliveries included) with the event's fire time and the resulting
+	// queue depth.
 	Scheduled func(at float64, pending int)
 	// Cancelled is called each time Cancel removes a still-pending
 	// event (not for already-fired or doubly-cancelled events).
@@ -124,11 +152,14 @@ func NewMetricHooks(r *obs.Registry) Hooks {
 // Engine is a discrete-event simulator. The zero value is ready to use.
 type Engine struct {
 	now     float64
-	heap    []node  // backing array; heap[:nheap] is the 4-ary min-heap of (at, seq, slot) triples
-	nheap   int     // live heap length
-	slots   []slot  // event arena; grows to the peak queue depth
-	free    []int32 // backing array; free[:nfree] are recycled slot indices (LIFO)
-	nfree   int     // live free-list length
+	heap    []node           // backing array; heap[:nheap] is the 4-ary min-heap of (at, seq, slot) triples
+	nheap   int              // live heap length, counting a vacant root
+	hole    bool             // heap[0] is vacant: the last Step fired it and nothing has refilled it
+	slots   []slot           // event arena; grows to the peak queue depth
+	free    []int32          // backing array; free[:nfree] are recycled slot indices (LIFO)
+	nfree   int              // live free-list length
+	lanes   map[uint64]*Lane // by math.Float64bits of the lane's delay
+	pending int              // scheduled events not yet fired or cancelled, lane events included
 	nextSeq uint64
 	stopped bool
 	fired   uint64
@@ -157,12 +188,13 @@ func (e *Engine) Now() float64 { return e.now }
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return e.nheap }
+// Pending returns the number of events still scheduled, lane events
+// included.
+func (e *Engine) Pending() int { return e.pending }
 
-// PoolSize returns the number of arena slots ever allocated — the
-// steady-state working set (peak concurrent events), not the total event
-// count.
+// PoolSize returns the number of arena slots ever allocated: the peak
+// number of concurrently pending heap events, plus one slot per lane.
+// Lane deliveries hold no slot of their own.
 func (e *Engine) PoolSize() int { return len(e.slots) }
 
 // Scheduled reports whether the event named by the handle is still
@@ -228,19 +260,31 @@ func (e *Engine) schedule(at float64, fn func(), pktFn func(pkt.Packet), p pkt.P
 	s.pkt = p
 	seq := e.nextSeq
 	e.nextSeq++
-	if e.nheap == len(e.heap) {
-		e.heap = grownFull(e.heap)
+	e.push(node{at: at, seq: seq, id: id})
+	e.noteScheduled(at, seq)
+	return Event{id: id + 1, gen: s.gen}
+}
+
+// noteScheduled counts a newly scheduled event; with a flight recorder or
+// a Scheduled hook attached it reports the event to them too. Small
+// enough to inline, so an engine without either pays two nil checks.
+//
+//pftk:hotpath
+func (e *Engine) noteScheduled(at float64, seq uint64) {
+	e.pending++
+	if e.flight != nil || e.hooks.Scheduled != nil {
+		e.reportScheduled(at, seq)
 	}
-	e.heap[e.nheap] = node{at: at, seq: seq, id: id}
-	e.nheap++
-	e.siftUp(e.nheap - 1)
+}
+
+// reportScheduled is noteScheduled's out-of-line half.
+func (e *Engine) reportScheduled(at float64, seq uint64) {
 	if e.flight != nil {
 		e.flight.Note(FlightSchedule, e.now, at, seq, "")
 	}
 	if e.hooks.Scheduled != nil {
-		e.hooks.Scheduled(at, e.nheap)
+		e.hooks.Scheduled(at, e.pending)
 	}
-	return Event{id: id + 1, gen: s.gen}
 }
 
 // After runs fn after delay d (seconds) from the current time. A negative
@@ -265,12 +309,16 @@ func (e *Engine) Cancel(ev Event) bool {
 	if s.gen != ev.gen || s.heapIdx < 0 {
 		return false
 	}
+	if e.hole {
+		e.fillHole()
+	}
 	if e.flight != nil {
 		n := e.heap[s.heapIdx]
 		e.flight.Note(FlightCancel, e.now, n.at, n.seq, "")
 	}
 	e.removeAt(int(s.heapIdx))
 	e.recycle(id)
+	e.pending--
 	if e.hooks.Cancelled != nil {
 		e.hooks.Cancelled()
 	}
@@ -292,13 +340,35 @@ func (e *Engine) Step() bool { return e.StepUntil(math.Inf(1)) }
 //
 //pftk:hotpath
 func (e *Engine) StepUntil(deadline float64) bool {
+	if e.hole {
+		e.fillHole()
+	}
 	if e.nheap == 0 || e.heap[0].at > deadline {
 		return false
 	}
-	top := e.popMin()
+	top := e.heap[0]
 	s := &e.slots[top.id]
-	fn, pktFn, p := s.fn, s.pktFn, s.pkt
-	e.recycle(top.id)
+	var fn func()
+	var pktFn func(pkt.Packet)
+	var p pkt.Packet
+	if l := s.lane; l != nil {
+		pktFn, p = l.pop()
+		if l.n > 0 {
+			// The lane's next head is due no earlier than this one and
+			// usually within a level or two of the root.
+			next := &l.items[l.head]
+			e.heap[0] = node{at: next.at, seq: next.seq, id: top.id}
+			e.siftDown(0)
+		} else {
+			s.heapIdx = -1
+			e.hole = true // see "Deferred pop" in the package comment
+		}
+	} else {
+		fn, pktFn, p = s.fn, s.pktFn, s.pkt
+		e.recycle(top.id)
+		e.hole = true
+	}
+	e.pending--
 	e.now = top.at
 	e.fired++
 	// Noted before the callback runs: a panicking event leaves its own
@@ -312,7 +382,7 @@ func (e *Engine) StepUntil(deadline float64) bool {
 		pktFn(p)
 	}
 	if e.hooks.EventFired != nil {
-		e.hooks.EventFired(e.now, e.nheap)
+		e.hooks.EventFired(e.now, e.pending)
 	}
 	return true
 }
@@ -428,18 +498,35 @@ func (e *Engine) siftDown(i int) {
 	e.slots[n.id].heapIdx = int32(i)
 }
 
-// popMin removes and returns the root node. Only the heap length
-// changes; the node left past it is dead and overwritten by the next push.
-func (e *Engine) popMin() node {
-	h := e.heap
-	top := h[0]
+// push inserts a node: into the vacant root when Step left one (sifting
+// down), otherwise at the first free leaf (sifting up).
+//
+//pftk:hotpath
+func (e *Engine) push(n node) {
+	if e.hole {
+		e.hole = false
+		e.heap[0] = n
+		e.siftDown(0)
+		return
+	}
+	if e.nheap == len(e.heap) {
+		e.heap = grownFull(e.heap)
+	}
+	e.heap[e.nheap] = n
+	e.nheap++
+	e.siftUp(e.nheap - 1)
+}
+
+// fillHole completes the pop Step deferred: the last leaf moves into the
+// vacant root and sifts down. Only the heap length changes; the node left
+// past it is dead and overwritten by the next push.
+func (e *Engine) fillHole() {
+	e.hole = false
 	e.nheap--
 	if last := e.nheap; last > 0 {
-		h[0] = h[last]
+		e.heap[0] = e.heap[last]
 		e.siftDown(0)
 	}
-	e.slots[top.id].heapIdx = -1
-	return top
 }
 
 // removeAt deletes the node at heap index i (used by Cancel).
