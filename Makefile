@@ -27,8 +27,8 @@ bench:
 # Tracked benchmark baseline: run the allocation-sensitive benchmark
 # suite at a FIXED iteration count (BenchmarkSimulatedSecond's cost per
 # op depends on b.N, so auto-calibrated benchtime is not comparable
-# across runs) and fold the per-metric medians into BENCH_sim.json under
-# the "current" label. The committed "pre" label is the seed baseline
+# across runs) and fold the per-metric medians, with each ns/op range,
+# into BENCH_sim.json under the "current" label. The committed "pre" label is the seed baseline
 # this PR was measured against — do not overwrite it.
 #
 # The system benchmarks simulate N flows, or a whole simulated hour, per

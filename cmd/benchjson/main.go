@@ -1,6 +1,8 @@
 // Command benchjson turns `go test -bench -benchmem` output into a
 // tracked JSON benchmark baseline. It reads the benchmark text on stdin,
-// takes the per-metric median across repeated runs (-count), and either
+// takes the per-metric median across repeated runs (-count), with the
+// fastest and slowest ns/op beside it so a reader can see how far the
+// runs spread, and either
 // prints the result or merges it under a named label into a baseline file
 // such as BENCH_sim.json — so before/after performance numbers live in
 // the repository next to the code they measure.
@@ -23,16 +25,21 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 )
 
-// Result is the median of one benchmark's metrics across its runs.
+// Result is the median of one benchmark's metrics across its runs, with
+// the range of its ns/op: a change whose median moves less than that
+// spread has not been shown to move the rung.
 type Result struct {
 	Runs        int     `json:"runs"`
 	NsPerOp     float64 `json:"ns_per_op"`
+	NsPerOpMin  float64 `json:"ns_per_op_min"`
+	NsPerOpMax  float64 `json:"ns_per_op_max"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	// Extra holds custom ReportMetric units (e.g. pkts/simsec).
@@ -130,6 +137,7 @@ func reduce(raw samples) map[string]*Result {
 			switch unit {
 			case "ns/op":
 				r.NsPerOp = m
+				r.NsPerOpMin, r.NsPerOpMax = slices.Min(vs), slices.Max(vs)
 				r.Runs = len(vs)
 			case "B/op":
 				r.BytesPerOp = m

@@ -56,6 +56,40 @@ func TestParseAndReduce(t *testing.T) {
 	}
 }
 
+// TestReduceRecordsNsPerOpRange: beside the median, each benchmark
+// keeps the fastest and slowest ns/op of its runs, and the range
+// survives the JSON round trip into the baseline file.
+func TestReduceRecordsNsPerOpRange(t *testing.T) {
+	raw, _, err := parse(strings.NewReader(sampleBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sec := reduce(raw)["BenchmarkSimulatedSecond"]
+	if sec.NsPerOpMin != 10000 || sec.NsPerOp != 20000 || sec.NsPerOpMax != 30000 {
+		t.Errorf("ns/op min/median/max = %g/%g/%g, want 10000/20000/30000", sec.NsPerOpMin, sec.NsPerOp, sec.NsPerOpMax)
+	}
+	if tr := reduce(raw)["BenchmarkTimerReset"]; tr.NsPerOpMin != 120 || tr.NsPerOpMax != 120 {
+		t.Errorf("single run: ns/op range %g..%g, want 120..120", tr.NsPerOpMin, tr.NsPerOpMax)
+	}
+	path := filepath.Join(t.TempDir(), "BENCH_sim.json")
+	var out strings.Builder
+	if err := run([]string{"-o", path}, strings.NewReader(sampleBench), &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f File
+	if err := json.Unmarshal(data, &f); err != nil {
+		t.Fatal(err)
+	}
+	got := f.Baselines["current"].Benchmarks["BenchmarkSimulatedSecond"]
+	if got.NsPerOpMin != 10000 || got.NsPerOpMax != 30000 {
+		t.Errorf("file records ns/op range %g..%g, want 10000..30000", got.NsPerOpMin, got.NsPerOpMax)
+	}
+}
+
 func TestMedianEvenCountIsObservedValue(t *testing.T) {
 	if m := median([]float64{4, 1, 3, 2}); m != 2 {
 		t.Errorf("median = %g, want lower-middle 2", m)

@@ -109,3 +109,31 @@ func TestEngineGoldenDelayStep(t *testing.T) {
 	eng.Schedule(45, func() { conn.Path.SetOneWayDelay(netem.ConstantDelay(0.06), netem.ConstantDelay(0.06)) })
 	checkGolden(t, "delay_step_down.sha256", renoDigest(t, conn.Run(60)))
 }
+
+// TestEngineGoldenReorderWindow pins a connection on jittered links whose
+// forward direction enters and leaves a reordering window (the FIFO clamp
+// suspended) and, overlapping its end, a duplication window. Deliveries
+// hand off between in-order and reordered scheduling twice mid-run, with
+// packets of both kinds in flight at each switch.
+func TestEngineGoldenReorderWindow(t *testing.T) {
+	var eng sim.Engine
+	conn := reno.NewConnection(&eng, reno.ConnConfig{
+		Sender:   reno.SenderConfig{RWnd: 32, MinRTO: 1},
+		Receiver: reno.ReceiverConfig{AckEvery: 2},
+		Path: netem.PathConfig{
+			Forward: netem.LinkConfig{Rate: 200, QueueCap: 20,
+				Delay: &netem.UniformJitterDelay{Base: 0.05, Jitter: 0.03, RNG: sim.NewRNG(3)},
+				Loss:  netem.NewBernoulli(0.01, sim.NewRNG(7))},
+			Reverse: netem.LinkConfig{Delay: &netem.UniformJitterDelay{Base: 0.05, Jitter: 0.03, RNG: sim.NewRNG(5)}},
+		},
+	})
+	eng.Schedule(20, func() { conn.Path.SetReorder(true) })
+	eng.Schedule(35, func() { conn.Path.SetReorder(false) })
+	eng.Schedule(30, func() { conn.Path.SetDuplicate(0.05, sim.NewRNG(9)) })
+	eng.Schedule(45, func() { conn.Path.SetDuplicate(0, nil) })
+	res := conn.Run(70)
+	if conn.Path.Forward.Stats().Duplicated == 0 {
+		t.Error("the duplication window copied no packet")
+	}
+	checkGolden(t, "reorder_dup_window.sha256", renoDigest(t, res))
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"pftk/internal/analysis"
@@ -293,6 +294,11 @@ func nonstationaryFrom(c *NonstationaryCampaign) *Report {
 	t := tablefmt.New("Schedule", "TD only", "Proposed (full)", "Proposed (approx)")
 	fig := &tablefmt.Figure{Title: "average error per schedule (sorted by TD-only error)", XLabel: "schedule", YLabel: "average error"}
 	var xs, fe, ae, te []float64
+	// The summary counts and averages only schedules whose errors are all
+	// finite: an infinite error (an interval priced at p = 0) would make
+	// any finite error a "win" and every mean +Inf.
+	var finFull, finApprox, finTD []float64
+	var excluded []string
 	better := 0
 	for i, rw := range rows {
 		t.AddRow(rw.name, fmt.Sprintf("%.3f", rw.tdon), fmt.Sprintf("%.3f", rw.full), fmt.Sprintf("%.3f", rw.approx))
@@ -300,6 +306,13 @@ func nonstationaryFrom(c *NonstationaryCampaign) *Report {
 		fe = append(fe, rw.full)
 		ae = append(ae, rw.approx)
 		te = append(te, rw.tdon)
+		if math.IsInf(rw.full, 0) || math.IsInf(rw.approx, 0) || math.IsInf(rw.tdon, 0) {
+			excluded = append(excluded, rw.name)
+			continue
+		}
+		finFull = append(finFull, rw.full)
+		finApprox = append(finApprox, rw.approx)
+		finTD = append(finTD, rw.tdon)
 		if rw.full < rw.tdon {
 			better++
 		}
@@ -333,10 +346,13 @@ func nonstationaryFrom(c *NonstationaryCampaign) *Report {
 	r.Tables = append(r.Tables, pt)
 
 	r.note("each interval is priced at its own observed p; trace-average RTT/T0 are the only stationary inputs")
-	r.note("full model beats TD-only on %d of %d schedules", better, len(rows))
-	if len(te) > 0 {
-		r.note("mean errors: TD-only %.3f, full %.3f, approx %.3f",
-			stats.Mean(te), stats.Mean(fe), stats.Mean(ae))
+	r.note("full model beats TD-only on %d of %d schedules with finite errors", better, len(finTD))
+	if len(finTD) > 0 {
+		r.note("mean errors over those schedules: TD-only %.3f, full %.3f, approx %.3f",
+			stats.Mean(finTD), stats.Mean(finFull), stats.Mean(finApprox))
+	}
+	if len(excluded) > 0 {
+		r.note("excluded from the count and the means (an infinite error): %s", strings.Join(excluded, ", "))
 	}
 	return r
 }

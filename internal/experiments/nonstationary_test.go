@@ -1,9 +1,14 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+
+	"pftk/internal/analysis"
+	"pftk/internal/core"
 )
 
 // nsQuickOpts shrinks the nonstationary campaign for tests: 400-second
@@ -84,6 +89,49 @@ func TestNonstationaryReport(t *testing.T) {
 	}
 	if len(r.Notes) == 0 {
 		t.Error("report carries no notes")
+	}
+}
+
+// TestNonstationarySummaryCountsFiniteErrorsOnly: at the default
+// options one schedule prices an interval at p = 0 and gets an infinite
+// TD-only error. The summary notes must count wins and average errors
+// over the schedules with finite errors only, name each excluded
+// schedule, and never print an infinite mean.
+func TestNonstationarySummaryCountsFiniteErrorsOnly(t *testing.T) {
+	var opts Options
+	c := RunNonstationaryCampaign(opts)
+	var excluded []string
+	finite, better := 0, 0
+	for _, run := range c.Runs {
+		pr := run.Params()
+		fe := analysis.ModelError(run.Intervals, core.ModelFull, pr)
+		ae := analysis.ModelError(run.Intervals, core.ModelApprox, pr)
+		te := analysis.ModelError(run.Intervals, core.ModelTDOnly, pr)
+		switch {
+		case math.IsNaN(fe) || math.IsNaN(te):
+		case math.IsInf(fe, 0) || math.IsInf(ae, 0) || math.IsInf(te, 0):
+			excluded = append(excluded, run.Case.Name)
+		default:
+			finite++
+			if fe < te {
+				better++
+			}
+		}
+	}
+	if len(excluded) == 0 {
+		t.Fatal("no schedule has an infinite error at the default options; the test no longer covers the exclusion")
+	}
+	notes := strings.Join(Nonstationary(opts).Notes, "\n")
+	if want := fmt.Sprintf("full model beats TD-only on %d of %d schedules with finite errors", better, finite); !strings.Contains(notes, want) {
+		t.Errorf("notes lack %q:\n%s", want, notes)
+	}
+	for _, name := range excluded {
+		if !strings.Contains(notes, name) {
+			t.Errorf("excluded schedule %q is not named in the notes:\n%s", name, notes)
+		}
+	}
+	if strings.Contains(notes, "Inf") || strings.Contains(notes, "NaN") {
+		t.Errorf("notes print a non-finite value:\n%s", notes)
 	}
 }
 

@@ -128,6 +128,7 @@ type Link struct {
 	stats   LinkStats
 	lastOut float64   // latest scheduled delivery time, for FIFO clamping
 	lane    *sim.Lane // the engine's lane for a ConstantDelay; nil for any other delay
+	own     *sim.Lane // the link's private lane, made on first in-order use
 
 	// In-service packet and the pre-built completion callback, so serving
 	// a packet schedules a stored func instead of allocating a closure
@@ -372,8 +373,11 @@ func (l *Link) onTxDone() {
 //
 // A constant delay that the clamp left alone rides the engine's lane for
 // that delay, which fires it at the same time and in the same order as a
-// heap event would. A clamped time (only possible right after the delay
-// stepped down) is not Now plus the lane's delay, so it takes the heap.
+// heap event would. Any other in-order delivery (a jittered delay, or a
+// time clamped right after the delay stepped down) rides the link's
+// private lane: outside a reordering window the clamp keeps the link's
+// delivery times non-decreasing. Only deliveries made during a
+// reordering window take the heap.
 //
 //pftk:hotpath
 func (l *Link) propagate(payload pkt.Packet, deliver func(pkt.Packet)) {
@@ -395,11 +399,17 @@ func (l *Link) propagate(payload pkt.Packet, deliver func(pkt.Packet)) {
 		fs.Delivered++
 	}
 	l.cfg.Metrics.Delivered.Inc()
-	if l.lane != nil && !clamped {
+	switch {
+	case l.lane != nil && !clamped:
 		l.lane.SchedulePacket(deliver, payload)
-		return
+	case !l.reorder:
+		if l.own == nil {
+			l.own = l.eng.NewLane()
+		}
+		l.own.SchedulePacketAt(at, deliver, payload)
+	default:
+		l.eng.SchedulePacket(at, deliver, payload)
 	}
-	l.eng.SchedulePacket(at, deliver, payload)
 }
 
 // clampDelay treats a negative or NaN delay as zero.

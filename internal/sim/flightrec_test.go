@@ -127,3 +127,41 @@ func TestStepZeroAllocWithFlightRecorder(t *testing.T) {
 		}
 	}
 }
+
+// TestFlightRecorderSeesTimerAsCancelPlusSchedule: a lazily re-keyed
+// timer records exactly what a cancel-and-reschedule would: a schedule
+// per arm, a cancel of the replaced deadline per rearm or Stop, and one
+// fire at the final deadline. Settling the stale node records nothing.
+func TestFlightRecorderSeesTimerAsCancelPlusSchedule(t *testing.T) {
+	f := NewFlightRecorder(16)
+	var e Engine
+	e.SetFlightRecorder(f)
+	tm := e.NewTimer(func() {})
+	tm.Reset(1)
+	tm.Reset(3)
+	tm.Stop()
+	tm.Reset(2)
+	e.Run()
+
+	type entry struct {
+		kind FlightKind
+		at   float64
+		seq  uint64
+	}
+	want := []entry{
+		{FlightSchedule, 1, 0},
+		{FlightCancel, 1, 0}, {FlightSchedule, 3, 1},
+		{FlightCancel, 3, 1},
+		{FlightSchedule, 2, 2},
+		{FlightFire, 2, 2},
+	}
+	events := f.Events()
+	if len(events) != len(want) {
+		t.Fatalf("recorded %d entries (%+v), want %d", len(events), events, len(want))
+	}
+	for i, w := range want {
+		if ev := events[i]; ev.Kind != w.kind || ev.At < w.at || ev.At > w.at || ev.Seq != w.seq {
+			t.Errorf("entry %d = %+v, want %v at=%g seq=%d", i, ev, w.kind, w.at, w.seq)
+		}
+	}
+}

@@ -7,13 +7,15 @@ import (
 	"pftk/internal/pkt"
 )
 
-// Lane is the engine's FIFO of packet deliveries that all fire one
-// constant delay after they are scheduled (see "Lanes" in the package
-// comment). Lane events have no Event handle and cannot be cancelled.
-// A Lane belongs to the single goroutine driving its Engine.
+// Lane is a FIFO of packet deliveries due in non-decreasing time order
+// (see "Lanes" in the package comment): either the engine's shared lane
+// for one constant delay, or a private lane fed explicit times. Lane
+// events have no Event handle and cannot be cancelled. A Lane belongs to
+// the single goroutine driving its Engine.
 type Lane struct {
 	eng   *Engine
-	delay float64
+	delay float64    // the shared lane's constant delay; 0 for a private lane
+	last  float64    // due time of the newest item ever queued
 	id    int32      // arena slot standing for the lane's head in the heap
 	items []laneItem // ring buffer; len is a power of two
 	head  int        // index of the oldest item
@@ -42,16 +44,26 @@ func (e *Engine) Lane(d float64) *Lane {
 	if e.lanes == nil {
 		e.lanes = make(map[uint64]*Lane)
 	}
-	l := &Lane{eng: e, delay: d, id: int32(len(e.slots))}
-	e.slots = append(e.slots, slot{lane: l, heapIdx: -1})
+	l := e.NewLane()
+	l.delay = d
 	e.lanes[key] = l
+	return l
+}
+
+// NewLane returns a private lane with no fixed delay, fed through
+// SchedulePacketAt with due times that never decrease. It takes one
+// permanent arena slot.
+func (e *Engine) NewLane() *Lane {
+	l := &Lane{eng: e, id: int32(len(e.slots))}
+	e.slots = append(e.slots, slot{lane: l, heapIdx: -1})
 	return l
 }
 
 // SchedulePacket runs fn(p) at Now()+d, d the lane's delay. It fires
 // exactly where Engine.SchedulePacket(Now()+d, fn, p) would, among every
 // other event on the engine, without a heap node of its own. Steady
-// state allocates nothing: the ring grows only at capacity.
+// state allocates nothing: the ring grows only at capacity. On a
+// private lane (delay 0) a time before the lane's newest item panics.
 //
 //pftk:hotpath
 func (l *Lane) SchedulePacket(fn func(pkt.Packet), p pkt.Packet) {
@@ -60,6 +72,13 @@ func (l *Lane) SchedulePacket(fn func(pkt.Packet), p pkt.Packet) {
 	}
 	e := l.eng
 	at := e.now + l.delay
+	if at < l.last {
+		l.outOfOrder("SchedulePacket", at)
+	}
+	// The append below is repeated in SchedulePacketAt rather than
+	// shared: a call level more on this path, the one every constant-
+	// delay delivery takes, cost BenchmarkSimHold about a tenth.
+	l.last = at
 	seq := e.nextSeq
 	e.nextSeq++
 	if l.n == len(l.items) {
@@ -71,6 +90,41 @@ func (l *Lane) SchedulePacket(fn func(pkt.Packet), p pkt.Packet) {
 		e.push(node{at: at, seq: seq, id: l.id})
 	}
 	e.noteScheduled(at, seq)
+}
+
+// SchedulePacketAt runs fn(p) at absolute time at, exactly where
+// Engine.SchedulePacket(at, fn, p) would fire it. A time before Now or
+// before the lane's newest item panics: the lane is a FIFO.
+//
+//pftk:hotpath
+func (l *Lane) SchedulePacketAt(at float64, fn func(pkt.Packet), p pkt.Packet) {
+	if fn == nil {
+		panic("sim: nil event callback")
+	}
+	e := l.eng
+	if !(at >= e.now && at >= l.last) {
+		l.outOfOrder("SchedulePacketAt", at)
+	}
+	l.last = at
+	seq := e.nextSeq
+	e.nextSeq++
+	if l.n == len(l.items) {
+		l.grow()
+	}
+	l.items[(l.head+l.n)&(len(l.items)-1)] = laneItem{at: at, seq: seq, fn: fn, pkt: p}
+	l.n++
+	if l.n == 1 {
+		e.push(node{at: at, seq: seq, id: l.id})
+	}
+	e.noteScheduled(at, seq)
+}
+
+// outOfOrder panics for a due time the FIFO cannot take. It stays out of
+// line so the formatting adds nothing to the schedule paths.
+//
+//go:noinline
+func (l *Lane) outOfOrder(method string, at float64) {
+	panic(fmt.Sprintf("sim: Lane.%s at %g before now %g or the lane's newest item at %g", method, at, l.eng.now, l.last))
 }
 
 // pop removes the oldest item and returns its callback and payload,

@@ -72,23 +72,24 @@ func TestTimerResetInsideOwnCallback(t *testing.T) {
 	}
 }
 
-// TestStaleTimerStopAfterSlotReuse: once a timer fires, its internal
-// handle is stale. If another event recycles the same arena slot, Stop on
-// the fired timer must not cancel that unrelated event.
-func TestStaleTimerStopAfterSlotReuse(t *testing.T) {
+// TestTimerStopAfterFireCancelsNothing: once a timer fires it is
+// disarmed, so Stop on it cancels nothing (no report, no Cancelled
+// hook) and leaves every other pending event alone.
+func TestTimerStopAfterFireCancelsNothing(t *testing.T) {
 	var e Engine
 	tm := e.NewTimer(nop)
 	tm.Reset(1)
-	e.Run() // timer fires; its slot returns to the free list
+	e.Run()
+	_, _, cancelled, _ := hookCounts(&e)
 	other := e.Schedule(5, nop)
-	if got := e.PoolSize(); got != 1 {
-		t.Fatalf("PoolSize = %d, want 1 (other must reuse the timer's slot)", got)
-	}
 	if tm.Stop() {
 		t.Error("Stop on a fired timer reported a cancel")
 	}
+	if *cancelled != 0 || e.Pending() != 1 {
+		t.Errorf("Stop on a fired timer: %d cancels, %d pending, want 0 and 1", *cancelled, e.Pending())
+	}
 	if !e.Scheduled(other) {
-		t.Error("stale timer Stop cancelled an unrelated event in the reused slot")
+		t.Error("Stop on a fired timer cancelled an unrelated event")
 	}
 	if n := e.Run(); n != 1 {
 		t.Errorf("fired %d, want 1", n)
@@ -149,6 +150,55 @@ func TestTimerResetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Timer.Reset allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// TestTimerResetStopSteadyStateZeroAlloc: the receiver's delayed-ACK
+// pattern (stop, rearm later, rearm earlier) and the engine settling the
+// stale node when it reaches the root allocate nothing once warm.
+func TestTimerResetStopSteadyStateZeroAlloc(t *testing.T) {
+	var e Engine
+	tm := e.NewTimer(nop)
+	e.Schedule(0, nop)
+	for e.Step() {
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		tm.Reset(2)
+		tm.Stop()
+		tm.Reset(3)
+		tm.Reset(1)
+		e.Schedule(e.Now()+1.5, nop)
+		for e.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Timer Reset/Stop allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// TestTimerLazyRekeyFiresAtDeadline: a node left behind by a later Reset
+// or by Stop never fires early and is not counted as an event: it is
+// re-keyed or dropped when it reaches the root, and StepUntil with a
+// deadline between the stale key and the real deadline fires nothing.
+func TestTimerLazyRekeyFiresAtDeadline(t *testing.T) {
+	var e Engine
+	fired, _, _, _ := hookCounts(&e)
+	var at []float64
+	tm := e.NewTimer(func() { at = append(at, e.Now()) })
+	idle := e.NewTimer(func() { t.Error("stopped timer fired") })
+	tm.Reset(1)
+	idle.Reset(0.5)
+	idle.Stop()
+	tm.Reset(3) // the node stays keyed at 1
+	if e.StepUntil(2) {
+		t.Fatal("StepUntil(2) fired the timer rearmed for 3")
+	}
+	if e.Now() != 0 || *fired != 0 || e.Pending() != 1 {
+		t.Fatalf("after StepUntil(2): clock %g, %d fired, %d pending, want 0, 0, 1", e.Now(), *fired, e.Pending())
+	}
+	e.Run()
+	if len(at) != 1 || at[0] != 3 || *fired != 1 {
+		t.Errorf("timer fired at %v (%d events), want [3] once", at, *fired)
 	}
 }
 
@@ -261,6 +311,13 @@ func (o *oracleEngine) cancel(ev *oracleEvent) bool {
 	return true
 }
 
+func (o *oracleEngine) stepUntil(deadline float64) bool {
+	if len(o.heap) == 0 || o.heap[0].at > deadline {
+		return false
+	}
+	return o.step()
+}
+
 func (o *oracleEngine) step() bool {
 	if len(o.heap) == 0 {
 		return false
@@ -275,9 +332,11 @@ func (o *oracleEngine) step() bool {
 // checkLengths compares the engine's pending count with the oracle's
 // queue depth, and requires every arena slot to be exactly one of: queued
 // in the heap (outside a vacant root), on the free list, or the slot of
-// an empty lane. A queued lane slot must belong to a non-empty lane, and
-// the heap's non-lane nodes plus every lane's items must add up to the
-// pending count.
+// an idle lane or timer. A queued lane slot must belong to a non-empty
+// lane; a timer slot is never on the free list, and an armed timer's
+// node is queued with a key no later than its deadline. The heap's
+// plain events, every lane's items and the armed timers must add up to
+// the pending count.
 func checkLengths(t *testing.T, op int, e *Engine, oracle int) {
 	t.Helper()
 	if e.Pending() != oracle {
@@ -292,36 +351,58 @@ func checkLengths(t *testing.T, op int, e *Engine, oracle int) {
 	for i := first; i < e.nheap; i++ {
 		id := e.heap[i].id
 		uses[id]++
-		if int(e.slots[id].heapIdx) != i {
-			t.Fatalf("op %d: heap[%d] holds slot %d whose heapIdx is %d", op, i, id, e.slots[id].heapIdx)
+		s := &e.slots[id]
+		if int(s.heapIdx) != i {
+			t.Fatalf("op %d: heap[%d] holds slot %d whose heapIdx is %d", op, i, id, s.heapIdx)
 		}
-		if l := e.slots[id].lane; l != nil {
-			if l.n == 0 {
-				t.Fatalf("op %d: empty lane %g is queued in the heap", op, l.delay)
+		switch {
+		case s.lane != nil:
+			if s.lane.n == 0 {
+				t.Fatalf("op %d: empty lane %g is queued in the heap", op, s.lane.delay)
 			}
-			events += l.n
-		} else {
+			events += s.lane.n
+		case s.timer != nil:
+			if tm := s.timer; tm.armed {
+				events++
+				if nodeLess(node{at: tm.at, seq: tm.seq}, e.heap[i]) {
+					t.Fatalf("op %d: timer slot %d queued at (%g, %d), after its deadline (%g, %d)", op, id, e.heap[i].at, e.heap[i].seq, tm.at, tm.seq)
+				}
+			}
+		default:
 			events++
 		}
 	}
 	for _, id := range e.free[:e.nfree] {
 		uses[id]++
+		if s := &e.slots[id]; s.lane != nil || s.timer != nil {
+			t.Fatalf("op %d: lane or timer slot %d is on the free list", op, id)
+		}
 	}
-	for _, l := range e.lanes {
-		if e.slots[l.id].heapIdx < 0 {
-			uses[l.id]++
-			if l.n != 0 {
-				t.Fatalf("op %d: lane %g holds %d items but is not queued", op, l.delay, l.n)
+	for id := range e.slots {
+		s := &e.slots[id]
+		if s.heapIdx >= 0 {
+			continue
+		}
+		switch {
+		case s.lane != nil:
+			uses[id]++
+			if s.lane.n != 0 {
+				t.Fatalf("op %d: lane %g holds %d items but is not queued", op, s.lane.delay, s.lane.n)
+			}
+		case s.timer != nil:
+			uses[id]++
+			if s.timer.armed {
+				t.Fatalf("op %d: armed timer slot %d is not queued", op, id)
 			}
 		}
 	}
 	for id, n := range uses {
 		if n != 1 {
-			t.Fatalf("op %d: slot %d is accounted %d times (queued, free or idle lane), want once", op, id, n)
+			t.Fatalf("op %d: slot %d is accounted %d times (queued, free, idle lane or idle timer), want once", op, id, n)
 		}
 	}
 	if events != e.Pending() {
-		t.Fatalf("op %d: heap and lanes hold %d events, Pending reports %d", op, events, e.Pending())
+		t.Fatalf("op %d: heap, lanes and timers hold %d events, Pending reports %d", op, events, e.Pending())
 	}
 }
 
@@ -329,14 +410,18 @@ func checkLengths(t *testing.T, op int, e *Engine, oracle int) {
 // the container/heap oracle through the same long pseudo-random sequence
 // of schedule / cancel / step operations — including cancels through
 // stale handles whose slots have been recycled, lane deliveries on a few
-// constant delays (plain events to the oracle), and events whose
-// callbacks cancel a heap event and schedule a lane delivery while the
-// fired root is still vacant — and requires identical fire order,
-// identical cancel outcomes, and identical clocks throughout, with the
-// engine's pending count and slot accounting checked after every
-// operation, the final drain included. Coarsely quantized fire times and
-// delays force frequent ties so the seq tiebreak is exercised across
-// recycling and between lanes and the heap.
+// constant delays and on one private lane fed non-decreasing times
+// (plain events to the oracle), events whose callbacks cancel a heap
+// event and schedule a lane delivery or rearm a timer while the fired
+// root is still vacant, timers rearmed later and earlier and stopped (a
+// cancel and a fresh event to the oracle), and StepUntil with a deadline
+// between a timer's stale node and its deadline — and requires identical
+// fire order, identical cancel outcomes, and identical clocks
+// throughout, with the engine's pending count and slot accounting
+// checked after every operation, the final drain included. Coarsely
+// quantized fire times and delays force frequent ties so the seq
+// tiebreak is exercised across recycling and between lanes, timers and
+// the heap.
 func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 	rng := NewRNG(0xdecade)
 	var e Engine
@@ -357,6 +442,28 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 		lanes[i] = e.Lane(d)
 	}
 	laneFired := func(p pkt.Packet) { got = append(got, int(p.Seq)) }
+	private := e.NewLane()
+	privateLast := 0.0
+
+	// Each timer fires its own token; the oracle models it as one event
+	// handle, cancelled and replaced on every rearm.
+	type oracleTimer struct {
+		tm  *Timer
+		cur *oracleEvent
+		tok int
+	}
+	timers := make([]*oracleTimer, 3)
+	for k := range timers {
+		ot := &oracleTimer{tok: token}
+		token++
+		ot.tm = e.NewTimer(func() { got = append(got, ot.tok) })
+		timers[k] = ot
+	}
+	oracleReset := func(ot *oracleTimer, at float64) bool {
+		cancelled := ot.cur != nil && o.cancel(ot.cur)
+		ot.cur = o.schedule(at, func() { want = append(want, ot.tok) })
+		return cancelled
+	}
 
 	// checkFired compares the newest fire and the clocks after op.
 	checkFired := func(op int) {
@@ -374,7 +481,7 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 
 	const ops = 30000
 	for i := 0; i < ops; i++ {
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(26); {
 		case op < 6: // schedule a new event at a coarse future time
 			tok := token
 			token++
@@ -416,11 +523,58 @@ func TestRandomizedScheduleCancelSoakVsOracle(t *testing.T) {
 			if cp != co {
 				t.Fatalf("op %d: Cancel disagreement: pooled=%v oracle=%v", i, cp, co)
 			}
-		default: // fire one event on both
+		case op < 20: // fire one event on both
 			se, so := e.Step(), o.step()
 			if se != so {
 				t.Fatalf("op %d: Step disagreement: pooled=%v oracle=%v", i, se, so)
 			}
+		case op < 22: // rearm a timer, later or earlier than its deadline
+			ot := timers[rng.Intn(len(timers))]
+			at := e.Now() + float64(rng.Intn(40))/4
+			cp, co := ot.tm.ResetAt(at), oracleReset(ot, at)
+			if cp != co {
+				t.Fatalf("op %d: timer Reset disagreement: pooled=%v oracle=%v", i, cp, co)
+			}
+		case op < 23: // stop a timer
+			ot := timers[rng.Intn(len(timers))]
+			cp, co := ot.tm.Stop(), ot.cur != nil && o.cancel(ot.cur)
+			if cp != co {
+				t.Fatalf("op %d: timer Stop disagreement: pooled=%v oracle=%v", i, cp, co)
+			}
+		case op < 24: // a private-lane delivery at a non-decreasing time
+			tok := token
+			token++
+			at := max(privateLast, e.Now()) + float64(rng.Intn(8))/4
+			privateLast = at
+			private.SchedulePacketAt(at, laneFired, pkt.Packet{Seq: uint64(tok)})
+			o.schedule(at, func() { want = append(want, tok) })
+		case op < 25: // StepUntil, preferably between a stale timer node and its deadline
+			deadline := e.Now() + float64(rng.Intn(8))/4
+			for _, ot := range timers {
+				if i := e.slots[ot.tm.id].heapIdx; ot.tm.armed && i >= 0 && e.heap[i].at < ot.tm.at {
+					deadline = (e.heap[i].at + ot.tm.at) / 2
+					break
+				}
+			}
+			se, so := e.StepUntil(deadline), o.stepUntil(deadline)
+			if se != so {
+				t.Fatalf("op %d: StepUntil(%g) disagreement: pooled=%v oracle=%v", i, deadline, se, so)
+			}
+		default: // schedule an event that rearms a timer when it fires
+			tok := token
+			token++
+			ot := timers[rng.Intn(len(timers))]
+			at := e.Now() + float64(rng.Intn(40))/4
+			d := float64(rng.Intn(40)) / 4
+			ev := e.Schedule(at, func() {
+				got = append(got, tok)
+				gotCancels = append(gotCancels, ot.tm.Reset(d))
+			})
+			oe := o.schedule(at, func() {
+				want = append(want, tok)
+				wantCancels = append(wantCancels, oracleReset(ot, o.now+d))
+			})
+			handles = append(handles, pair{ev, oe})
 		}
 		checkLengths(t, i, &e, len(o.heap))
 		checkFired(i)

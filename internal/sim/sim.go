@@ -1,8 +1,8 @@
 // Package sim provides the discrete-event simulation engine underneath the
 // network emulator and the TCP Reno implementation: a pooled event arena
 // behind a monomorphic 4-ary min-heap with a virtual clock, stable FIFO
-// ordering for simultaneous events, cancellable timers, and FIFO lanes
-// for constant-delay packet deliveries.
+// ordering for simultaneous events, lazily re-keyed timers, and FIFO
+// lanes for packet deliveries due in order.
 //
 // Time is a float64 number of seconds since the start of the simulation.
 // Determinism: given the same sequence of Schedule calls, Run always fires
@@ -40,6 +40,35 @@
 // the engine fires lane and heap events in exactly the (time, seq) order
 // one heap holding them all would. A link whose packets are all in
 // propagation thus costs the heap one node, not one per packet.
+//
+// NewLane makes a private lane with no fixed delay, fed explicit times
+// through SchedulePacketAt, which panics on a time before Now or before
+// the lane's newest item. A caller that can promise non-decreasing times
+// — a link whose FIFO clamp holds, whatever its delay jitter — gets the
+// same one-node cost, and the same argument gives the same fire order:
+// the ring is sorted by (time, seq) because both only grow.
+//
+// # Timers
+//
+// A Timer owns one arena slot for life, and at most one heap node stands
+// on it. The timer keeps its armed deadline (at, seq) itself; Reset
+// draws the seq from the shared counter exactly as Schedule would. The
+// node's key is only ever a lower bound on that deadline. Rearming later
+// (the TCP sender's RTO restart on every ACK) leaves the node where it
+// is, raising its key in place only when it is a leaf; rearming earlier
+// lowers the key in place and sifts it up; Stop just disarms the timer.
+// When the node reaches the root, Step settles it before firing
+// anything: a disarmed timer's node is dropped, a node whose seq lags
+// the deadline's is re-keyed to it and sifted down, and only a node
+// keyed exactly at the deadline fires. Since the key never exceeds the
+// deadline, no event due after the deadline can fire before it, and
+// once re-keyed the node orders exactly as a fresh event scheduled at
+// Reset would: the (at, seq) fire order is unchanged. Settling fires
+// nothing and calls no hook; Pending, Fired, the hooks and the flight
+// recorder see a Reset as a cancel plus a schedule and a Stop as a
+// cancel, as before. A single connection's heap thus holds a handful of
+// nodes — its timers, its lanes and the next transmission — however
+// often the timers move.
 //
 // # Deferred pop
 //
@@ -86,6 +115,7 @@ type slot struct {
 	pktFn   func(pkt.Packet) // callback for SchedulePacket events
 	pkt     pkt.Packet       // payload delivered to pktFn
 	lane    *Lane            // the lane whose head this slot stands for; nil for a heap event
+	timer   *Timer           // the timer that owns this slot; nil for a heap event
 	gen     uint32           // bumped on recycle; validates Event handles
 	heapIdx int32            // position in Engine.heap, -1 when not queued
 }
@@ -193,8 +223,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.pending }
 
 // PoolSize returns the number of arena slots ever allocated: the peak
-// number of concurrently pending heap events, plus one slot per lane.
-// Lane deliveries hold no slot of their own.
+// number of concurrently pending heap events, plus one permanent slot
+// per lane and per timer. Lane deliveries hold no slot of their own.
 func (e *Engine) PoolSize() int { return len(e.slots) }
 
 // Scheduled reports whether the event named by the handle is still
@@ -312,17 +342,32 @@ func (e *Engine) Cancel(ev Event) bool {
 	if e.hole {
 		e.fillHole()
 	}
-	if e.flight != nil {
-		n := e.heap[s.heapIdx]
-		e.flight.Note(FlightCancel, e.now, n.at, n.seq, "")
-	}
+	n := e.heap[s.heapIdx]
 	e.removeAt(int(s.heapIdx))
 	e.recycle(id)
+	e.noteCancelled(n.at, n.seq)
+	return true
+}
+
+// noteCancelled uncounts a cancelled event; with a flight recorder or a
+// Cancelled hook attached it reports the cancel to them too.
+//
+//pftk:hotpath
+func (e *Engine) noteCancelled(at float64, seq uint64) {
 	e.pending--
+	if e.flight != nil || e.hooks.Cancelled != nil {
+		e.reportCancelled(at, seq)
+	}
+}
+
+// reportCancelled is noteCancelled's out-of-line half.
+func (e *Engine) reportCancelled(at float64, seq uint64) {
+	if e.flight != nil {
+		e.flight.Note(FlightCancel, e.now, at, seq, "")
+	}
 	if e.hooks.Cancelled != nil {
 		e.hooks.Cancelled()
 	}
-	return true
 }
 
 // Stop makes the current Run call return after the in-flight event
@@ -340,18 +385,41 @@ func (e *Engine) Step() bool { return e.StepUntil(math.Inf(1)) }
 //
 //pftk:hotpath
 func (e *Engine) StepUntil(deadline float64) bool {
-	if e.hole {
-		e.fillHole()
+	var top node
+	var s *slot
+	for {
+		if e.hole {
+			e.fillHole()
+		}
+		if e.nheap == 0 || e.heap[0].at > deadline {
+			return false
+		}
+		top = e.heap[0]
+		s = &e.slots[top.id]
+		t := s.timer
+		if t == nil || (t.armed && t.seq == top.seq) {
+			break
+		}
+		// A timer node whose deadline moved (see "Timers" in the
+		// package comment): drop it if the timer is disarmed, else
+		// re-key it to the armed deadline. Neither fires anything.
+		if !t.armed {
+			s.heapIdx = -1
+			e.hole = true
+		} else {
+			e.heap[0] = node{at: t.at, seq: t.seq, id: top.id}
+			e.siftDown(0)
+		}
 	}
-	if e.nheap == 0 || e.heap[0].at > deadline {
-		return false
-	}
-	top := e.heap[0]
-	s := &e.slots[top.id]
 	var fn func()
 	var pktFn func(pkt.Packet)
 	var p pkt.Packet
-	if l := s.lane; l != nil {
+	if t := s.timer; t != nil {
+		t.armed = false
+		fn = t.fn
+		s.heapIdx = -1
+		e.hole = true
+	} else if l := s.lane; l != nil {
 		pktFn, p = l.pop()
 		if l.n > 0 {
 			// The lane's next head is due no earlier than this one and
@@ -527,6 +595,17 @@ func (e *Engine) fillHole() {
 		e.heap[0] = e.heap[last]
 		e.siftDown(0)
 	}
+}
+
+// lower moves slot id's queued node to the earlier key n and sifts it
+// up, filling a vacant root first so the sift never compares against it.
+func (e *Engine) lower(id int32, n node) {
+	if e.hole {
+		e.fillHole()
+	}
+	i := int(e.slots[id].heapIdx)
+	e.heap[i] = n
+	e.siftUp(i)
 }
 
 // removeAt deletes the node at heap index i (used by Cancel).
