@@ -59,17 +59,21 @@ fuzz:
 	$(GO) test ./internal/analysis -fuzz FuzzInferLossEvents -fuzztime 30s
 	$(GO) test ./internal/scenario -fuzz FuzzParseScenario -fuzztime 30s
 	$(GO) test ./internal/serve -fuzz FuzzPredictDecode -fuzztime 30s
+	$(GO) test ./internal/serve -fuzz FuzzSimulateDecode -fuzztime 30s
+	$(GO) test ./internal/chaos -fuzz FuzzParseSpec -fuzztime 30s
 
 # Abbreviated fuzzing pass for CI: parsers fed attacker-controlled bytes
 # (the trace decoders, the scenario JSON parser, which rides inside
-# service requests, and the /v1/predict decoder) get 10 seconds each on
-# every push.
+# service requests, the /v1/predict and /v1/simulate decoders, and the
+# chaos spec codec) get 10 seconds each on every push.
 fuzz-ci:
 	$(GO) test ./internal/trace -fuzz FuzzDecode$$ -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzDecodeTcpdump -fuzztime 10s
 	$(GO) test ./internal/trace -fuzz FuzzDecodeJSONL -fuzztime 10s
 	$(GO) test ./internal/scenario -fuzz FuzzParseScenario -fuzztime 10s
 	$(GO) test ./internal/serve -fuzz FuzzPredictDecode -fuzztime 10s
+	$(GO) test ./internal/serve -fuzz FuzzSimulateDecode -fuzztime 10s
+	$(GO) test ./internal/chaos -fuzz FuzzParseSpec -fuzztime 10s
 
 # Regenerate every table and figure at the paper's campaign scale.
 experiments:
@@ -104,6 +108,8 @@ lint:
 # serve-mixed run, so every predict body and simulate result it serves
 # is compared against the program's own code path on each push. The
 # last line is the run's JSON result; it must report "correct":true.
+# It stays shell: perfbench is a separate module, driven through its own
+# run.sh.
 perfbench-smoke:
 	@out="$$(bash perfbench/run.sh --workload serve-mixed --seconds 2 --trace 1)" || exit 1; \
 	echo "$$out"; \
@@ -115,6 +121,14 @@ perfbench-smoke:
 # report and zero invariant violations. -maxwall hard-kills a wedged
 # campaign so CI fails instead of hanging. On a failure, rerun with
 # -corpus to shrink a minimal repro (see DESIGN.md §11).
+#
+# It stays shell on purpose: what it checks is the shipped -race binary
+# writing the same report file from three separate processes. -maxwall
+# stops a wedged campaign by ending its process (a running goroutine
+# cannot be stopped), so three campaigns in one process would share one
+# box. A pftkchaos mode that ran and compared them itself would add a
+# flag whose only caller is this target, and an in-process Go test would
+# put 1,500 race-instrumented cases under go test ./... .
 chaos-smoke:
 	rm -rf chaos-smoke-out && mkdir -p chaos-smoke-out
 	$(GO) build -race -o chaos-smoke-out/pftkchaos ./cmd/pftkchaos
@@ -140,8 +154,10 @@ calibrate:
 	$(GO) test ./internal/hosts -run '^TestFittedTable$$' -update -count=1
 
 # Umbrella gate: everything CI runs, ending with one iteration of every
-# benchmark so a benchmark that fails at runtime fails the gate.
-check: build vet fmtcheck lint test race perfbench-smoke chaos-smoke
+# benchmark so a benchmark that fails at runtime fails the gate. The
+# module lint runs inside test (TestLintSelf), so lint is not repeated
+# here.
+check: build vet fmtcheck test race perfbench-smoke chaos-smoke
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 clean:

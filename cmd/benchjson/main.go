@@ -247,9 +247,12 @@ func run(args []string, in io.Reader, out io.Writer) error {
 		_, err = fmt.Fprintf(out, "%s\n", data)
 		return err
 	}
+	// mergeFile folds the label's earlier entries into results; count
+	// this run's benchmarks first.
+	n := len(results)
 	if err := mergeFile(*outFile, *label, b, e); err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(out, "benchjson: recorded %d benchmark(s) under %q in %s\n", len(results), *label, *outFile)
+	_, err = fmt.Fprintf(out, "benchjson: recorded %d benchmark(s) under %q in %s\n", n, *label, *outFile)
 	return err
 }

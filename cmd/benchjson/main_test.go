@@ -204,6 +204,27 @@ func TestRunMergesBenchmarksWithinLabel(t *testing.T) {
 	}
 }
 
+// Each run into a shared label reports the benchmarks it recorded, not
+// the label's total after the merge.
+func TestRunCountsOnlyItsOwnBenchmarks(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "b.json")
+	for _, c := range []struct {
+		in   string
+		want string
+	}{
+		{sampleBench, "recorded 2 benchmark(s)"},
+		{multiFlowBench, "recorded 2 benchmark(s)"},
+	} {
+		var out strings.Builder
+		if err := run([]string{"-o", path, "-label", "current"}, strings.NewReader(c.in), &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("output %q, want it to say %q", out.String(), c.want)
+		}
+	}
+}
+
 func TestEmptyInputIsAnError(t *testing.T) {
 	var out strings.Builder
 	if err := run(nil, strings.NewReader("PASS\nok pftk 0.1s\n"), &out); err == nil {

@@ -131,13 +131,9 @@ func RunPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64)
 	return runPair(p, duration, salt, intervalWidth, nil)
 }
 
-// RunPairObserved is RunPair with metric collection on reg (nil disables
-// it): the engine, both link directions and the sender are instrumented,
-// and the returned PairRun carries the registry's final snapshot.
-func RunPairObserved(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
-	return runPair(p, duration, salt, intervalWidth, reg)
-}
-
+// runPair is RunPair with metric collection on reg (nil disables it):
+// the engine, both link directions and the sender are instrumented, and
+// the returned PairRun carries the registry's final snapshot.
 func runPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
 	start := time.Now()
 	p = hosts.CalibratedPair(p, hosts.CalibrateOptions{})

@@ -17,7 +17,7 @@ func TestRunPairObservedReconciles(t *testing.T) {
 	// void-sutton exercises both TD and timeout indications heavily.
 	p := hosts.TableII()[13]
 	reg := obs.New()
-	run := RunPairObserved(p, 400, 3, 100, reg)
+	run := runPair(p, 400, 3, 100, reg)
 	if run.Obs == nil {
 		t.Fatal("observed run has no snapshot")
 	}
@@ -57,7 +57,7 @@ func TestRunPairObsDisabled(t *testing.T) {
 	if plain.Obs != nil {
 		t.Error("un-observed run carries a snapshot")
 	}
-	observed := RunPairObserved(p, 120, 5, 100, obs.New())
+	observed := runPair(p, 120, 5, 100, obs.New())
 	if plain.Result.Stats != observed.Result.Stats {
 		t.Errorf("observability perturbed the run:\nplain=%+v\n  obs=%+v",
 			plain.Result.Stats, observed.Result.Stats)

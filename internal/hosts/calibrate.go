@@ -1,8 +1,6 @@
 package hosts
 
 import (
-	"sync"
-
 	"pftk/internal/analysis"
 	"pftk/internal/reno"
 )
@@ -139,63 +137,15 @@ func indexFits(table []fit) map[Pair]Pair {
 	return out
 }
 
-// calKey identifies one memoized calibration: the whole pair value and
-// the normalized options, so neither a same-named variant of a pair nor
-// a different option set can be answered with another call's fit.
-type calKey struct {
-	pair Pair
-	opts CalibrateOptions
-}
-
-// calEntry is one memoized calibration. Entries are stored in the cache
-// by pointer — a calEntry contains a sync.Once and must never be copied
-// (go vet's copylocks check enforces this repo-wide).
-type calEntry struct {
-	once sync.Once
-	pair Pair
-}
-
-var (
-	// calMu guards only the map itself; the expensive probe runs happen
-	// outside it, under the entry's once, so concurrent campaigns
-	// calibrating *different* pairs proceed in parallel while
-	// same-pair callers still share a single calibration.
-	calMu sync.Mutex
-	//pftk:guardedby calMu
-	calCache = map[calKey]*calEntry{}
-)
-
 // CalibratedPair returns the pair fitted to its published loss rate.
 // For a known pair definition (see knownPairs) under options that
 // normalize to the defaults, it returns the committed fit, which equals
-// p.Calibrate(o) bit for bit. Any other call runs Calibrate once per
-// pair value and option set and memoizes the (deterministic) result, so
-// campaigns do not repeat the probe runs. It is safe for concurrent use.
+// p.Calibrate(o) bit for bit; any other call runs p.Calibrate(o).
 func CalibratedPair(p Pair, o CalibrateOptions) Pair {
-	o = o.normalize()
-	if o == (CalibrateOptions{}).normalize() {
+	if o.normalize() == (CalibrateOptions{}).normalize() {
 		if cal, ok := fittedPairs[p]; ok {
 			return cal
 		}
 	}
-	k := calKey{p, o}
-	calMu.Lock()
-	e, ok := calCache[k]
-	if !ok {
-		e = &calEntry{}
-		calCache[k] = e
-	}
-	calMu.Unlock()
-	e.once.Do(func() { e.pair = p.Calibrate(o) })
-	return e.pair
-}
-
-// ResetCalibrationCache drops every memoized calibration. It never
-// touches the committed fit table, so known pairs under the default
-// options stay answered from it. It exists for tests that need a cold
-// memo; production campaigns never call it.
-func ResetCalibrationCache() {
-	calMu.Lock()
-	defer calMu.Unlock()
-	calCache = map[calKey]*calEntry{}
+	return p.Calibrate(o)
 }

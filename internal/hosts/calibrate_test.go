@@ -62,52 +62,10 @@ func TestCalibrateZeroTargetNoop(t *testing.T) {
 	}
 }
 
-func TestCalibratedPairMemoizes(t *testing.T) {
-	pair, _ := PairByName("babel-tove")
-	opts := CalibrateOptions{Iterations: 1, ProbeDuration: 120}
-	a := CalibratedPair(pair, opts)
-	b := CalibratedPair(pair, opts)
-	if a != b {
-		t.Error("memoized calibration returned different results")
-	}
-	if a.DropRate <= 0 {
-		t.Error("calibrated drop rate must be positive")
-	}
-}
-
-// A pair outside the table, calibrated under two option sets in one
-// process, must get each set's own fit rather than the first one
-// memoized under the pair's name.
-func TestCalibratedPairKeysMemoOnOptions(t *testing.T) {
-	ResetCalibrationCache()
-	t.Cleanup(ResetCalibrationCache)
-	p := Pair{Sender: "void", Receiver: "sutton", RTT: 0.3, T0: 0.6, Wm: 16,
-		PaperPackets: 50000, PaperLoss: 1000, PaperTD: 400, DropRate: 0.02}
-	o1 := CalibrateOptions{Iterations: 1, ProbeDuration: 60}
-	o2 := CalibrateOptions{Iterations: 2, ProbeDuration: 60}
-	want1, want2 := p.Calibrate(o1), p.Calibrate(o2)
-	if want1 == want2 {
-		t.Fatal("the two option sets fit alike; pick options that differ")
-	}
-	if got := CalibratedPair(p, o1); got != want1 {
-		t.Errorf("first options: got fit %v, want %v", fitOf(got), fitOf(want1))
-	}
-	if got := CalibratedPair(p, o2); got != want2 {
-		t.Errorf("second options: got fit %v, want %v", fitOf(got), fitOf(want2))
-	}
-}
-
 // The committed table answers only a known definition, field for field,
 // under options that normalize to the defaults; everything else goes
-// through the memo.
+// through Calibrate.
 func TestCalibratedPairUsesTableOnlyForKnownDefinitions(t *testing.T) {
-	ResetCalibrationCache()
-	t.Cleanup(ResetCalibrationCache)
-	memoized := func() int {
-		calMu.Lock()
-		defer calMu.Unlock()
-		return len(calCache)
-	}
 	def, _ := PairByName("manic-sutton")
 	fitted := fittedPairs[def]
 	for _, o := range []CalibrateOptions{{}, {Iterations: 5, ProbeDuration: 900}} {
@@ -115,17 +73,16 @@ func TestCalibratedPairUsesTableOnlyForKnownDefinitions(t *testing.T) {
 			t.Errorf("options %+v: got fit %v, want the committed %v", o, fitOf(got), fitOf(fitted))
 		}
 	}
-	if n := memoized(); n != 0 {
-		t.Errorf("table hits memoized %d calibrations, want 0", n)
+
+	short := CalibrateOptions{Iterations: 1, ProbeDuration: 60}
+	if got, want := CalibratedPair(def, short), def.Calibrate(short); got != want || got == fitted {
+		t.Errorf("non-default options: got fit %v, want Calibrate's %v (not the committed %v)", fitOf(got), fitOf(want), fitOf(fitted))
 	}
 
 	variant := def
 	variant.RTT = 0.25
 	if got, want := CalibratedPair(variant, CalibrateOptions{}), variant.Calibrate(CalibrateOptions{}); got != want {
 		t.Errorf("edited definition: got fit %v, want Calibrate's %v", fitOf(got), fitOf(want))
-	}
-	if n := memoized(); n != 1 {
-		t.Errorf("edited definition memoized %d calibrations, want 1", n)
 	}
 }
 

@@ -1,8 +1,7 @@
 // Package netem emulates the Internet paths of the paper's measurement
 // campaign: unidirectional links with finite rate, propagation delay and
-// drop-tail queues, random and bursty loss processes, background cross
-// traffic, and the "modem with a dedicated deep buffer" pathology of
-// Fig. 11.
+// drop-tail queues, random and bursty loss processes, and the "modem
+// with a dedicated deep buffer" pathology of Fig. 11.
 //
 // It substitutes for the 1997-98 Internet between the Table I hosts: the
 // PFTK model consumes only (p, RTT, T0, Wm), so a path that reproduces a
@@ -100,48 +99,6 @@ func (g *GilbertElliott) Drop(float64) bool {
 // for tests).
 func (g *GilbertElliott) Bad() bool { return g.bad }
 
-// RoundCorrelated realizes the paper's own loss assumption directly: each
-// packet is the start of a loss event with probability P, and once a loss
-// occurs every subsequent packet within Gap seconds of the previous
-// offered packet is also dropped — i.e. "if a packet is lost, all
-// remaining packets transmitted until the end of that round are also
-// lost". Back-to-back packets of a window arrive well within Gap of each
-// other, while the next round starts an RTT later, resetting the burst.
-type RoundCorrelated struct {
-	// P is the per-packet probability of starting a loss burst.
-	P float64
-	// Gap is the idle time (seconds) that terminates a burst; set it
-	// below the path RTT and above the back-to-back packet spacing.
-	Gap float64
-	RNG *sim.RNG
-
-	bursting bool
-	lastSeen float64
-	started  bool
-}
-
-// NewRoundCorrelated returns the paper-faithful correlated loss process.
-func NewRoundCorrelated(p, gap float64, rng *sim.RNG) *RoundCorrelated {
-	return &RoundCorrelated{P: p, Gap: gap, RNG: rng}
-}
-
-// Drop implements LossModel.
-func (rc *RoundCorrelated) Drop(now float64) bool {
-	if rc.started && rc.bursting && now-rc.lastSeen > rc.Gap {
-		rc.bursting = false
-	}
-	rc.lastSeen = now
-	rc.started = true
-	if rc.bursting {
-		return true
-	}
-	if rc.RNG.Bool(rc.P) {
-		rc.bursting = true
-		return true
-	}
-	return false
-}
-
 // TimedBurst is an outage-style loss process: each offered packet starts
 // an outage with probability P; during an outage every packet offered in
 // the next Dur seconds is dropped. Long outages (around one RTT or more)
@@ -199,35 +156,6 @@ func (p *Periodic) Drop(float64) bool {
 	}
 	return false
 }
-
-// TraceDriven replays a recorded drop pattern: packet i of the run is
-// dropped iff Pattern[i mod len(Pattern)] is true. Extracted from a
-// previous run (or a real capture), it reproduces one experiment's loss
-// process inside another — the "loss distribution function" hook the
-// paper's future-work list asks for.
-type TraceDriven struct {
-	Pattern []bool
-	next    int
-}
-
-// NewTraceDriven returns a replaying loss model. An empty pattern never
-// drops.
-func NewTraceDriven(pattern []bool) *TraceDriven {
-	return &TraceDriven{Pattern: pattern}
-}
-
-// Drop implements LossModel.
-func (td *TraceDriven) Drop(float64) bool {
-	if len(td.Pattern) == 0 {
-		return false
-	}
-	d := td.Pattern[td.next%len(td.Pattern)]
-	td.next++
-	return d
-}
-
-// Offered returns how many packets have been examined.
-func (td *TraceDriven) Offered() int { return td.next }
 
 // Script drops exactly the packet indexes (0-based, in arrival order)
 // listed in Drops — the fully deterministic loss model used by protocol

@@ -84,38 +84,6 @@ func TestGilbertElliottBursts(t *testing.T) {
 	}
 }
 
-func TestRoundCorrelatedBurstsWithinGap(t *testing.T) {
-	// Force a burst start, then verify packets within the gap all drop
-	// and a packet after the gap is evaluated fresh.
-	rc := NewRoundCorrelated(1, 0.05, sim.NewRNG(3)) // always start burst
-	if !rc.Drop(0) {
-		t.Fatal("p=1 must drop first packet")
-	}
-	rc.P = 0 // no new bursts
-	if !rc.Drop(0.01) || !rc.Drop(0.02) {
-		t.Error("packets within gap of an active burst must drop")
-	}
-	if rc.Drop(0.02 + 0.06) {
-		t.Error("packet after the gap should see a fresh (p=0) trial")
-	}
-}
-
-func TestRoundCorrelatedAggregateRate(t *testing.T) {
-	// With per-packet spacing larger than the gap, each trial is fresh
-	// Bernoulli, so the aggregate equals P.
-	rc := NewRoundCorrelated(0.1, 0.001, sim.NewRNG(5))
-	drops := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if rc.Drop(float64(i)) { // 1s spacing >> 1ms gap
-			drops++
-		}
-	}
-	if rate := float64(drops) / n; math.Abs(rate-0.1) > 0.01 {
-		t.Errorf("isolated-packet rate = %g, want ~0.1", rate)
-	}
-}
-
 func TestPeriodic(t *testing.T) {
 	m := &Periodic{N: 3}
 	var pattern []bool
@@ -347,59 +315,6 @@ func TestModemPathQueueingDelayGrowsWithBacklog(t *testing.T) {
 	}
 }
 
-func TestCrossTrafficPoissonRate(t *testing.T) {
-	var eng sim.Engine
-	l := NewLink(&eng, LinkConfig{}) // infinitely fast sink
-	ct := NewCrossTraffic(&eng, l, CrossTrafficConfig{Rate: 50, RNG: sim.NewRNG(11)})
-	ct.Start()
-	eng.RunUntil(100)
-	got := float64(ct.Injected()) / 100
-	if math.Abs(got-50)/50 > 0.1 {
-		t.Errorf("cross traffic rate = %g pkts/s, want ~50", got)
-	}
-	ct.Stop()
-}
-
-func TestCrossTrafficOnOffDutyCycle(t *testing.T) {
-	var eng sim.Engine
-	l := NewLink(&eng, LinkConfig{})
-	// 50% duty cycle: mean rate should be ~half the ON rate.
-	ct := NewCrossTraffic(&eng, l, CrossTrafficConfig{Rate: 100, OnMean: 1, OffMean: 1, RNG: sim.NewRNG(13)})
-	ct.Start()
-	eng.RunUntil(200)
-	got := float64(ct.Injected()) / 200
-	if got < 30 || got > 70 {
-		t.Errorf("on/off mean rate = %g pkts/s, want ~50", got)
-	}
-	ct.Stop()
-}
-
-func TestCrossTrafficZeroRateNoop(t *testing.T) {
-	var eng sim.Engine
-	l := NewLink(&eng, LinkConfig{})
-	ct := NewCrossTraffic(&eng, l, CrossTrafficConfig{RNG: sim.NewRNG(1)})
-	ct.Start()
-	eng.RunUntil(10)
-	if ct.Injected() != 0 {
-		t.Error("zero-rate generator injected packets")
-	}
-}
-
-func TestCrossTrafficCongestsBottleneck(t *testing.T) {
-	// Heavy cross traffic through a slow bottleneck must produce queue
-	// drops for a probe stream.
-	var eng sim.Engine
-	l := NewLink(&eng, LinkConfig{Rate: 20, QueueCap: 10})
-	ct := NewCrossTraffic(&eng, l, CrossTrafficConfig{Rate: 40, RNG: sim.NewRNG(17)})
-	ct.Start()
-	eng.RunUntil(50)
-	ct.Stop()
-	eng.Run()
-	if l.Stats().QueueDrops == 0 {
-		t.Error("overloaded bottleneck produced no queue drops")
-	}
-}
-
 func TestQuickLinkConservation(t *testing.T) {
 	// offered = delivered + randomDrops + queueDrops, for arbitrary
 	// configurations and workloads.
@@ -447,25 +362,4 @@ func TestNewLinkNilEnginePanics(t *testing.T) {
 		}
 	}()
 	NewLink(nil, LinkConfig{})
-}
-
-func TestTraceDrivenReplay(t *testing.T) {
-	pattern := []bool{false, true, false, false}
-	td := NewTraceDriven(pattern)
-	var got []bool
-	for i := 0; i < 8; i++ { // wraps around
-		got = append(got, td.Drop(0))
-	}
-	for i, want := range append(pattern, pattern...) {
-		if got[i] != want {
-			t.Errorf("replay[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-	if td.Offered() != 8 {
-		t.Errorf("Offered = %d", td.Offered())
-	}
-	empty := NewTraceDriven(nil)
-	if empty.Drop(0) {
-		t.Error("empty pattern dropped")
-	}
 }

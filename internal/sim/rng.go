@@ -25,7 +25,7 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // Fork derives an independent generator keyed by label, so each simulation
-// component (loss process, delay jitter, cross traffic, ...) gets its own
+// component (loss process, delay jitter, ...) gets its own
 // stream and adding a consumer never perturbs the others.
 func (r *RNG) Fork(label string) *RNG {
 	h := uint64(1469598103934665603) // FNV-64 offset basis

@@ -1,6 +1,6 @@
 // Package stats provides the small statistical toolkit used by the trace
 // analysis programs and the experiment harness: running moments,
-// correlation, quantiles, histograms and the average-error metric from
+// correlation, quantiles and the average-error metric from
 // Section III of the paper.
 package stats
 
@@ -187,48 +187,4 @@ func AverageError(predicted, observed []float64) float64 {
 		return math.NaN()
 	}
 	return sum / float64(n)
-}
-
-// Bootstrap computes a percentile bootstrap confidence interval for a
-// statistic over xs: it resamples xs with replacement rounds times,
-// applies stat to each resample, and returns the (alpha/2, 1-alpha/2)
-// quantiles of the resulting distribution. The rng function must return
-// uniform values in [0,1) (pass a seeded generator for reproducible
-// reports). Returns NaNs for empty input.
-func Bootstrap(xs []float64, stat func([]float64) float64, rounds int, alpha float64, rng func() float64) (lo, hi float64) {
-	if len(xs) == 0 || rounds <= 0 {
-		return math.NaN(), math.NaN()
-	}
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.05
-	}
-	estimates := make([]float64, rounds)
-	resample := make([]float64, len(xs))
-	for r := 0; r < rounds; r++ {
-		for i := range resample {
-			resample[i] = xs[int(rng()*float64(len(xs)))%len(xs)]
-		}
-		estimates[r] = stat(resample)
-	}
-	return Quantile(estimates, alpha/2), Quantile(estimates, 1-alpha/2)
-}
-
-// GeometricMLE fits the success parameter of a geometric distribution
-// (support 1, 2, ...) to samples by maximum likelihood: p̂ = 1/mean. The
-// paper models the number of timeouts in a timeout sequence as geometric;
-// this is the estimator the analysis uses to report it. Returns NaN for
-// empty input or a mean below 1.
-func GeometricMLE(samples []int) float64 {
-	if len(samples) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for _, x := range samples {
-		s += float64(x)
-	}
-	m := s / float64(len(samples))
-	if m < 1 {
-		return math.NaN()
-	}
-	return 1 / m
 }

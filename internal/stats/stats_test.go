@@ -174,111 +174,3 @@ func TestAverageErrorPerfectPrediction(t *testing.T) {
 		t.Errorf("perfect prediction error = %g, want 0", got)
 	}
 }
-
-func TestGeometricMLE(t *testing.T) {
-	if !math.IsNaN(GeometricMLE(nil)) {
-		t.Error("empty input should give NaN")
-	}
-	if got := GeometricMLE([]int{1, 1, 1}); !feq(got, 1, 1e-12) {
-		t.Errorf("all-ones should give p=1, got %g", got)
-	}
-	if got := GeometricMLE([]int{2, 2}); !feq(got, 0.5, 1e-12) {
-		t.Errorf("mean 2 should give p=0.5, got %g", got)
-	}
-	if !math.IsNaN(GeometricMLE([]int{0, 0})) {
-		t.Error("mean below 1 should give NaN")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{-1, 0, 1.9, 2, 5, 9.99, 10, 42, math.NaN()} {
-		h.Add(x)
-	}
-	if h.N() != 8 {
-		t.Errorf("N = %d, want 8 (NaN ignored)", h.N())
-	}
-	if h.Underflow != 1 || h.Overflow != 2 {
-		t.Errorf("under/over = %d/%d, want 1/2", h.Underflow, h.Overflow)
-	}
-	want := []int{2, 1, 1, 0, 1}
-	for i, c := range want {
-		if h.Bins[i] != c {
-			t.Errorf("bin %d = %d, want %d", i, h.Bins[i], c)
-		}
-	}
-	if got := h.BinCenter(0); !feq(got, 1, 1e-12) {
-		t.Errorf("BinCenter(0) = %g, want 1", got)
-	}
-	if out := h.Render(20); out == "" {
-		t.Error("Render returned empty string")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewHistogram(0, 10, 0) },
-		func() { NewHistogram(5, 5, 3) },
-		func() { NewHistogram(7, 2, 3) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestHistogramTopEdgeRounding(t *testing.T) {
-	h := NewHistogram(0, 1, 3)
-	// A value just below Hi whose bin index could round to len(Bins).
-	h.Add(math.Nextafter(1, 0))
-	if h.Bins[2] != 1 || h.Overflow != 0 {
-		t.Errorf("top-edge value misplaced: bins=%v overflow=%d", h.Bins, h.Overflow)
-	}
-}
-
-func TestBootstrapCoversTrueMean(t *testing.T) {
-	// Samples from a known distribution: the CI should bracket the
-	// sample mean and be reasonably tight.
-	xs := make([]float64, 200)
-	seed := uint64(12345)
-	next := func() float64 {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return float64(seed>>11) / (1 << 53)
-	}
-	for i := range xs {
-		xs[i] = 10 + 4*(next()-0.5)
-	}
-	m := Mean(xs)
-	lo, hi := Bootstrap(xs, Mean, 500, 0.05, next)
-	if !(lo < m && m < hi) {
-		t.Errorf("CI [%g, %g] does not bracket sample mean %g", lo, hi, m)
-	}
-	if hi-lo > 1.0 {
-		t.Errorf("CI width %g too wide for n=200 uniform", hi-lo)
-	}
-}
-
-func TestBootstrapDegenerate(t *testing.T) {
-	next := func() float64 { return 0.5 }
-	if lo, hi := Bootstrap(nil, Mean, 100, 0.05, next); !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Error("empty input should give NaNs")
-	}
-	if lo, hi := Bootstrap([]float64{5}, Mean, 0, 0.05, next); !math.IsNaN(lo) || !math.IsNaN(hi) {
-		t.Error("zero rounds should give NaNs")
-	}
-	// Constant data: CI collapses to the point.
-	lo, hi := Bootstrap([]float64{3, 3, 3}, Mean, 50, 0.05, next)
-	if lo != 3 || hi != 3 {
-		t.Errorf("constant CI = [%g, %g]", lo, hi)
-	}
-	// Out-of-range alpha falls back to 0.05 without panicking.
-	lo, hi = Bootstrap([]float64{1, 2, 3}, Mean, 50, -1, next)
-	if math.IsNaN(lo) || math.IsNaN(hi) {
-		t.Error("alpha fallback failed")
-	}
-}

@@ -16,9 +16,7 @@ import (
 //	records: 33 bytes each, little endian:
 //	    float64 Time | uint8 Kind | uint64 Seq | uint64 Ack | float64 Val
 //
-// The fixed-width layout keeps the codec trivially seekable (record i
-// starts at 8 + 33*i) — useful for sampling long captures — at a modest
-// size cost versus varints.
+// Every record has the same width, so record i starts at 8 + 33*i.
 
 var magic = [8]byte{'P', 'F', 'T', 'K', 'T', 'R', 'C', 1}
 
