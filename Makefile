@@ -96,11 +96,12 @@ fmtcheck:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: the 11-analyzer suite over the whole
-# module. Exit status: 0 clean, 1 findings, 2 packages that failed to
-# parse/type-check. go test ./... makes the same check (TestLintSelf in
-# internal/lint); a deliberate exception is an //pftklint:ignore
-# <analyzer> <justification> directive at the finding's site.
+# Project-specific static analysis: the pftklint suite (seven analyzers
+# and the ignore audit) over the whole module. Exit status: 0 clean,
+# 1 findings, 2 packages that failed to parse/type-check. go test ./...
+# makes the same check (TestLintSelf in internal/lint); a deliberate
+# exception is an //pftklint:ignore <analyzer> <justification> directive
+# at the finding's site.
 lint:
 	$(GO) run ./cmd/pftklint ./...
 

@@ -9,7 +9,6 @@
 //
 //	pftklint ./...                  # lint every package in the module
 //	pftklint ./internal/core        # lint one directory
-//	pftklint -tests ./...           # include in-package _test.go files
 //	pftklint -only floatcmp ./...   # run a subset of analyzers
 //	pftklint -json ./...            # machine-readable report
 //	pftklint -list                  # list the analyzers
@@ -46,7 +45,6 @@ func run(args []string, out io.Writer) (int, error) {
 	fs := flag.NewFlagSet("pftklint", flag.ContinueOnError)
 	var (
 		dir     = fs.String("C", ".", "change to this directory before resolving packages")
-		tests   = fs.Bool("tests", false, "also analyze in-package _test.go files")
 		only    = fs.String("only", "", "comma-separated subset of analyzers to run")
 		list    = fs.Bool("list", false, "list the available analyzers and exit")
 		jsonOut = fs.Bool("json", false, "emit the report as JSON")
@@ -80,8 +78,6 @@ func run(args []string, out io.Writer) (int, error) {
 	if err != nil {
 		return 2, err
 	}
-	loader.IncludeTests = *tests
-
 	driver := &lint.Driver{Loader: loader, Analyzers: analyzers}
 	report, err := driver.Run(resolvePatterns(*dir, fs.Args()))
 	if err != nil {

@@ -108,8 +108,8 @@ func TestRunSingleDirAndList(t *testing.T) {
 		t.Fatalf("-list: code=%d err=%v", code, err)
 	}
 	for _, name := range []string{
-		"floatcmp", "errdrop", "panicstyle", "ctorparams",
-		"hotalloc", "determinism", "guardedby", "directive", "jsontag", "ignoreaudit",
+		"floatcmp", "errdrop", "hotalloc", "determinism",
+		"guardedby", "jsontag", "spanend", "ignoreaudit",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %q:\n%s", name, out.String())

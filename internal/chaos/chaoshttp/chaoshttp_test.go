@@ -43,7 +43,6 @@ func TestRequestMapping(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request(c)
-	//pftklint:ignore floatcmp the mapping copies fields verbatim; equality is exact
 	if req.RTT != c.RTT || req.LossRate != c.LossRate || req.BurstDur != c.BurstDur ||
 		req.Duration != c.Duration || req.MinRTO != c.MinRTO {
 		t.Errorf("float fields dropped in mapping: %+v vs %+v", req, c)

@@ -7,8 +7,9 @@ import (
 
 // FuzzParseSpec drives the spec document boundary. Nothing may panic,
 // every rejection must be a named chaos error, and every accepted spec
-// must be finite, inside Validate's documented bounds, and survive an
-// Encode/ParseSpec round trip with its hash intact.
+// must be finite, inside Validate's documented bounds, survive an
+// Encode/ParseSpec round trip with its hash intact, and generate valid
+// cases.
 func FuzzParseSpec(f *testing.F) {
 	def := DefaultSpec()
 	valid, err := def.Encode()
@@ -25,6 +26,7 @@ func FuzzParseSpec(f *testing.F) {
 		{`"min": 4`, `"min": 1`},
 		{`"model_error_factor": 10`, `"model_error_factor": 0.5`},
 		{`"max": 4`, `"max": 1e400`},
+		{`"max": 3`, `"max": 9223372036854775807`},
 	} {
 		f.Add([]byte(strings.Replace(doc, r[0], r[1], 1)))
 	}
@@ -58,6 +60,12 @@ func FuzzParseSpec(f *testing.F) {
 		}
 		if back.Hash() != sp.Hash() {
 			t.Fatalf("hash changed across the codec round trip:\n%s", enc)
+		}
+		// Generate validates the case it returns.
+		for i := 0; i < 3; i++ {
+			if _, err := Generate(sp, 1, i); err != nil {
+				t.Fatalf("accepted spec generates an invalid case %d: %v\n%s", i, err, enc)
+			}
 		}
 	})
 }

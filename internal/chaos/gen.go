@@ -151,8 +151,6 @@ func pick[T any](rng *sim.RNG, set []T) T {
 // global state — and the returned case always satisfies Validate (a
 // non-nil error is a generator bug surfaced to the campaign as a
 // violation rather than a panic).
-//
-//pftk:deterministic
 func Generate(sp *Spec, seed uint64, i int) (Case, error) {
 	rng := caseRNG(seed, i)
 	c := Case{

@@ -55,7 +55,6 @@ func TestGenerateAlwaysValid(t *testing.T) {
 		if err := c.Validate(); err != nil {
 			t.Fatalf("case %d: %v", i, err)
 		}
-		//pftklint:ignore floatcmp the generator copies the duration verbatim; equality is exact
 		if c.Scenario != nil && c.Scenario.Duration != c.Duration {
 			t.Fatalf("case %d: scenario declares duration %v, case has %v",
 				i, c.Scenario.Duration, c.Duration)
@@ -87,7 +86,6 @@ func TestGenerateCoversTheSpec(t *testing.T) {
 			continue
 		}
 		for _, ph := range c.Scenario.Phases {
-			//pftklint:ignore floatcmp the ge base phase is generated with a literal 0
 			if ph.At == 0 && ph.Loss != nil && ph.Loss.Model == scenario.LossGE {
 				ge++
 			} else {

@@ -41,8 +41,8 @@ type Range struct {
 }
 
 // validate reports the first problem with the range under the given
-// knob name; lo bounds Min from below.
-func (r Range) validate(name string, lo float64) error {
+// knob name; lo bounds Min from below and hi bounds Max from above.
+func (r Range) validate(name string, lo, hi float64) error {
 	switch {
 	case math.IsNaN(r.Min) || math.IsNaN(r.Max) || math.IsInf(r.Min, 0) || math.IsInf(r.Max, 0):
 		return fmt.Errorf("chaos: %s range must be finite, got [%v, %v]", name, r.Min, r.Max)
@@ -50,6 +50,8 @@ func (r Range) validate(name string, lo float64) error {
 		return fmt.Errorf("chaos: %s range minimum %v below %v", name, r.Min, lo)
 	case r.Max < r.Min:
 		return fmt.Errorf("chaos: %s range [%v, %v] is inverted", name, r.Min, r.Max)
+	case r.Max > hi:
+		return fmt.Errorf("chaos: %s range maximum %v above %v", name, r.Max, hi)
 	}
 	return nil
 }
@@ -61,13 +63,15 @@ type IntRange struct {
 }
 
 // validate reports the first problem with the range under the given
-// knob name; lo bounds Min from below.
-func (r IntRange) validate(name string, lo int) error {
+// knob name; lo bounds Min from below and hi bounds Max from above.
+func (r IntRange) validate(name string, lo, hi int) error {
 	switch {
 	case r.Min < lo:
 		return fmt.Errorf("chaos: %s range minimum %d below %d", name, r.Min, lo)
 	case r.Max < r.Min:
 		return fmt.Errorf("chaos: %s range [%d, %d] is inverted", name, r.Min, r.Max)
+	case r.Max > hi:
+		return fmt.Errorf("chaos: %s range maximum %d above %d", name, r.Max, hi)
 	}
 	return nil
 }
@@ -220,21 +224,32 @@ var validFaultKinds = map[string]bool{
 	scenario.KindDuplicate:  true,
 }
 
+// specHeadroom sets the upper bounds Validate puts on every count
+// range (wm, phases, phase_queue, faults, flows, flow_queue), on
+// duration and on flow_rate: each maximum may be at most specHeadroom
+// times DefaultSpec's (wm 1024, phases 48, duration 320 s, flows 64,
+// ...). A spec can scale the smoke campaign's cases sixteenfold; beyond
+// that a case is no longer cheap to run by the hundred, and an unbounded
+// count overflows the sampler.
+const specHeadroom = 16
+
 // Validate reports the first problem with the spec, or nil.
 func (sp *Spec) Validate() error {
 	if sp == nil {
 		return errors.New("chaos: nil spec")
 	}
-	if err := sp.RTT.validate("rtt", 1e-4); err != nil {
+	def := DefaultSpec()
+	unbounded := math.MaxFloat64
+	if err := sp.RTT.validate("rtt", 1e-4, unbounded); err != nil {
 		return err
 	}
-	if err := sp.Duration.validate("duration", 0.5); err != nil {
+	if err := sp.Duration.validate("duration", 0.5, specHeadroom*def.Duration.Max); err != nil {
 		return err
 	}
-	if err := sp.Wm.validate("wm", 1); err != nil {
+	if err := sp.Wm.validate("wm", 1, specHeadroom*def.Wm.Max); err != nil {
 		return err
 	}
-	if err := sp.MinRTO.validate("min_rto", 1e-3); err != nil {
+	if err := sp.MinRTO.validate("min_rto", 1e-3, unbounded); err != nil {
 		return err
 	}
 	if len(sp.AckEvery) == 0 {
@@ -261,28 +276,25 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("chaos: unknown loss model %q", m)
 		}
 	}
-	if err := sp.Loss.Rate.validate("loss.rate", 0); err != nil {
+	if err := sp.Loss.Rate.validate("loss.rate", 0, 1); err != nil {
 		return err
 	}
-	if sp.Loss.Rate.Max > 1 {
-		return fmt.Errorf("chaos: loss.rate maximum %v above 1", sp.Loss.Rate.Max)
-	}
-	if err := sp.Loss.BurstLen.validate("loss.burst_len", 1); err != nil {
+	if err := sp.Loss.BurstLen.validate("loss.burst_len", 1, unbounded); err != nil {
 		return err
 	}
-	if err := sp.Loss.BurstDur.validate("loss.burst_dur", 0); err != nil {
+	if err := sp.Loss.BurstDur.validate("loss.burst_dur", 0, unbounded); err != nil {
 		return err
 	}
-	if err := sp.Phases.validate("phases", 0); err != nil {
+	if err := sp.Phases.validate("phases", 0, specHeadroom*def.Phases.Max); err != nil {
 		return err
 	}
-	if err := sp.PhaseRate.validate("phase_rate", 1); err != nil {
+	if err := sp.PhaseRate.validate("phase_rate", 1, unbounded); err != nil {
 		return err
 	}
-	if err := sp.PhaseQueue.validate("phase_queue", 1); err != nil {
+	if err := sp.PhaseQueue.validate("phase_queue", 1, specHeadroom*def.PhaseQueue.Max); err != nil {
 		return err
 	}
-	if err := sp.Faults.validate("faults", 0); err != nil {
+	if err := sp.Faults.validate("faults", 0, specHeadroom*def.Faults.Max); err != nil {
 		return err
 	}
 	if sp.Faults.Max > 0 && len(sp.FaultKinds) == 0 {
@@ -293,7 +305,7 @@ func (sp *Spec) Validate() error {
 			return fmt.Errorf("chaos: unknown fault kind %q", k)
 		}
 	}
-	if err := sp.FaultDur.validate("fault_dur", 1e-3); err != nil {
+	if err := sp.FaultDur.validate("fault_dur", 1e-3, unbounded); err != nil {
 		return err
 	}
 	if sp.FaultDur.Max >= sp.Duration.Min {
@@ -303,32 +315,26 @@ func (sp *Spec) Validate() error {
 	if math.IsNaN(sp.FaultPeriodicProb) || sp.FaultPeriodicProb < 0 || sp.FaultPeriodicProb > 1 {
 		return fmt.Errorf("chaos: fault_periodic_prob must be in [0, 1], got %v", sp.FaultPeriodicProb)
 	}
-	if err := sp.LossBurstRate.validate("loss_burst_rate", 1e-6); err != nil {
+	if err := sp.LossBurstRate.validate("loss_burst_rate", 1e-6, 1); err != nil {
 		return err
 	}
-	if sp.LossBurstRate.Max > 1 {
-		return fmt.Errorf("chaos: loss_burst_rate maximum %v above 1", sp.LossBurstRate.Max)
-	}
-	if err := sp.ExtraDelay.validate("extra_delay", 1e-6); err != nil {
+	if err := sp.ExtraDelay.validate("extra_delay", 1e-6, unbounded); err != nil {
 		return err
 	}
-	if err := sp.Jitter.validate("jitter", 1e-6); err != nil {
+	if err := sp.Jitter.validate("jitter", 1e-6, unbounded); err != nil {
 		return err
 	}
-	if err := sp.DupProb.validate("dup_prob", 1e-6); err != nil {
+	if err := sp.DupProb.validate("dup_prob", 1e-6, 1); err != nil {
 		return err
 	}
-	if sp.DupProb.Max > 1 {
-		return fmt.Errorf("chaos: dup_prob maximum %v above 1", sp.DupProb.Max)
-	}
-	if err := sp.Flows.validate("flows", 0); err != nil {
+	if err := sp.Flows.validate("flows", 0, specHeadroom*def.Flows.Max); err != nil {
 		return err
 	}
 	if sp.Flows.Max >= 2 {
-		if err := sp.FlowRate.validate("flow_rate", 1); err != nil {
+		if err := sp.FlowRate.validate("flow_rate", 1, specHeadroom*def.FlowRate.Max); err != nil {
 			return err
 		}
-		if err := sp.FlowQueue.validate("flow_queue", 1); err != nil {
+		if err := sp.FlowQueue.validate("flow_queue", 1, specHeadroom*def.FlowQueue.Max); err != nil {
 			return err
 		}
 	}

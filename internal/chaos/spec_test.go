@@ -53,6 +53,9 @@ func TestSpecCodecStrict(t *testing.T) {
 		{"bad fault kind", mutate(t, valid, `"outage"`, `"meteor"`), "unknown fault kind"},
 		{"fault longer than shortest run", mutate(t, valid, `"min": 4`, `"min": 1`), "does not fit"},
 		{"envelope below one", mutate(t, valid, `"model_error_factor": 10`, `"model_error_factor": 0.5`), "rejects perfect predictions"},
+		// Used to pass ParseSpec and then panic in Generate ("sim: Intn
+		// with non-positive n"): the sampler's Max-Min+1 overflowed.
+		{"unbounded phases", mutate(t, valid, "\"phases\": {\n    \"min\": 0,\n    \"max\": 3\n  }", `"phases": {"min": 0, "max": 9223372036854775807}`), "chaos: phases range maximum"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -77,4 +80,40 @@ func mutate(t *testing.T, doc []byte, old, new string) string {
 		t.Fatalf("encoded default spec no longer contains %q", old)
 	}
 	return strings.Replace(s, old, new, 1)
+}
+
+// TestSpecBounds pins each upper bound Validate enforces: a knob at
+// specHeadroom times its default maximum is valid and generates valid
+// cases; one step above, the spec is rejected by the knob's name.
+func TestSpecBounds(t *testing.T) {
+	def := DefaultSpec()
+	knobs := []struct {
+		name string
+		set  func(sp *Spec, step int)
+	}{
+		{"wm", func(sp *Spec, s int) { sp.Wm.Max = specHeadroom*def.Wm.Max + s }},
+		{"phases", func(sp *Spec, s int) { sp.Phases.Max = specHeadroom*def.Phases.Max + s }},
+		{"phase_queue", func(sp *Spec, s int) { sp.PhaseQueue.Max = specHeadroom*def.PhaseQueue.Max + s }},
+		{"faults", func(sp *Spec, s int) { sp.Faults.Max = specHeadroom*def.Faults.Max + s }},
+		{"flows", func(sp *Spec, s int) { sp.Flows.Max = specHeadroom*def.Flows.Max + s }},
+		{"flow_queue", func(sp *Spec, s int) { sp.FlowQueue.Max = specHeadroom*def.FlowQueue.Max + s }},
+		{"duration", func(sp *Spec, s int) { sp.Duration.Max = specHeadroom*def.Duration.Max + float64(s) }},
+		{"flow_rate", func(sp *Spec, s int) { sp.FlowRate.Max = specHeadroom*def.FlowRate.Max + float64(s) }},
+	}
+	for _, k := range knobs {
+		sp := DefaultSpec()
+		k.set(&sp, 0)
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s at its bound: %v", k.name, err)
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := Generate(&sp, 1, i); err != nil {
+				t.Errorf("%s at its bound, case %d: %v", k.name, i, err)
+			}
+		}
+		k.set(&sp, 1)
+		if err := sp.Validate(); err == nil || !strings.Contains(err.Error(), "chaos: "+k.name+" range maximum") {
+			t.Errorf("%s above its bound: Validate = %v, want it rejected by name", k.name, err)
+		}
+	}
 }

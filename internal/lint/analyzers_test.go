@@ -65,51 +65,6 @@ func drop() {
 }
 `,
 
-	"panicbad/panicbad.go": `package panicbad
-
-import "fmt"
-
-func bad(n int) {
-	if n == 0 {
-		panic("missing prefix") // want panicstyle
-	}
-	panic(fmt.Sprintf("also missing %d", n)) // want panicstyle
-}
-
-func good(n int) {
-	panic("panicbad: n out of range " + fmt.Sprint(n)) // allowed
-}
-
-func dynamic(err error) {
-	panic(err) // allowed: head unknown at compile time
-}
-`,
-
-	"ctorbad/ctorbad.go": `package ctorbad
-
-type Thing struct{ a, b, c, d, e, f float64 }
-
-type Option func(*Thing)
-
-func NewThing(a, b, c, d, e, f float64) *Thing { return &Thing{a, b, c, d, e, f} } // want ctorparams
-
-func NewSplit(a, b float64, c, d int, e string, f bool) *Thing { return nil } // want ctorparams
-
-func NewOK(a, b, c, d, e float64) *Thing { return nil } // allowed: exactly 5
-
-func NewWithOpts(a float64, opts ...Option) *Thing { return nil } // allowed: variadic tail uncounted
-
-func New(a, b, c, d, e, f int) *Thing { return nil } // want ctorparams (bare New)
-
-func newThing(a, b, c, d, e, f float64) *Thing { return nil } // allowed: unexported
-
-func Newton(a, b, c, d, e, f float64) float64 { return a } // allowed: not the New idiom
-
-type Builder struct{}
-
-func (Builder) NewThing(a, b, c, d, e, f float64) *Thing { return nil } // allowed: method
-`,
-
 	"hotbad/hotbad.go": `package hotbad
 
 type S struct {
@@ -200,18 +155,6 @@ func count(m counts) int {
 	}
 	return n
 }
-`,
-
-	// Function-scope determinism via the //pftk:deterministic directive,
-	// outside the always-on packages.
-	"determfn/determfn.go": `package determfn
-
-import "time"
-
-//pftk:deterministic
-func replay() int64 { return time.Now().UnixNano() } // want determinism
-
-func wall() int64 { return time.Now().UnixNano() } // allowed: out of scope
 `,
 
 	"guardbad/guardbad.go": `package guardbad
@@ -370,33 +313,6 @@ func otherRun() {
 	//pftklint:ignore hotalloc justified, but hotalloc is not part of this run
 	_ = 0
 }
-`,
-
-	"directivebad/directivebad.go": `package directivebad
-
-import "sync"
-
-//pftk:hotpth
-func typo() {} // want directive (unknown name)
-
-//pftk:deterministic
-type T struct{} // want directive (misplaced: not a function)
-
-type G struct {
-	mu sync.Mutex
-	//pftk:guardedby
-	a int
-	//pftk:guardedby missing
-	b int
-	//pftk:guardedby mu
-	c int // allowed
-}
-
-//pftk:locked
-func noArg() {} // want directive (locked needs a mutex)
-
-//pftklint:nonsense
-func badVerb() {} // want directive (unknown pftklint verb)
 `,
 
 	"jsontagbad/jsontagbad.go": `package jsontagbad
@@ -621,25 +537,6 @@ func TestErrDropFixture(t *testing.T) {
 	})
 }
 
-func TestPanicStyleFixture(t *testing.T) {
-	pkg := fixturePkgs(t)["panicbad"]
-	got := Run([]*Package{pkg}, []*Analyzer{PanicStyleAnalyzer})
-	checkDiags(t, got, []expectation{
-		{7, `must start with "panicbad: "`},
-		{9, `must start with "panicbad: "`},
-	})
-}
-
-func TestCtorParamsFixture(t *testing.T) {
-	pkg := fixturePkgs(t)["ctorbad"]
-	got := Run([]*Package{pkg}, []*Analyzer{CtorParamsAnalyzer})
-	checkDiags(t, got, []expectation{
-		{7, "NewThing takes 6 positional parameters"},
-		{9, "NewSplit takes 6 positional parameters"},
-		{15, "New takes 6 positional parameters"},
-	})
-}
-
 func TestHotAllocFixture(t *testing.T) {
 	pkg := fixturePkgs(t)["hotbad"]
 	got := Run([]*Package{pkg}, []*Analyzer{HotAllocAnalyzer})
@@ -672,16 +569,6 @@ func TestDeterminismFixturePackageScope(t *testing.T) {
 		{13, "global rand.Float64"},
 		{16, "goroutine spawn"},
 		{21, "map iteration order is randomized"},
-	})
-}
-
-func TestDeterminismFixtureAnnotatedFunc(t *testing.T) {
-	pkg := fixturePkgs(t)["determfn"]
-	got := Run([]*Package{pkg}, []*Analyzer{DeterminismAnalyzer})
-	// Only the //pftk:deterministic function is in scope; wall() uses
-	// time.Now legally.
-	checkDiags(t, got, []expectation{
-		{6, "time.Now reads the wall clock"},
 	})
 }
 
@@ -743,19 +630,6 @@ func TestIgnoreAuditRunSetGating(t *testing.T) {
 	if len(hot) != 1 || !strings.Contains(hot[0].Message, "stale ignore: no hotalloc finding") {
 		t.Errorf("want one stale-hotalloc finding on line 28, got %v", hot)
 	}
-}
-
-func TestDirectiveFixture(t *testing.T) {
-	pkg := fixturePkgs(t)["directivebad"]
-	got := Run([]*Package{pkg}, []*Analyzer{DirectiveAnalyzer})
-	checkDiags(t, got, []expectation{
-		{5, `unknown //pftk: directive "hotpth"`},
-		{8, "must be in a function declaration's doc comment"},
-		{13, "needs the guarding mutex"},
-		{16, `no sibling field or package variable "missing" exists`},
-		{21, "needs the held mutex"},
-		{24, `unknown //pftklint: verb "nonsense"`},
-	})
 }
 
 func TestJSONTagFixture(t *testing.T) {

@@ -26,20 +26,19 @@ import (
 //
 // Scope: every function in the simulation packages (internal/sim,
 // internal/netem, internal/reno, internal/multiflow, internal/scenario)
-// and the chaos
-// generator/campaign package (internal/chaos, whose replayability
-// contract is the same — a campaign must be reconstructable from (spec,
-// seed); its HTTP subpackage internal/chaos/chaoshttp deliberately
-// stays outside the scope because it drives real daemons with real
-// clocks), plus any function anywhere annotated //pftk:deterministic.
+// and the chaos generator/campaign package (internal/chaos, whose
+// replayability contract is the same — a campaign must be
+// reconstructable from (spec, seed); its HTTP subpackage
+// internal/chaos/chaoshttp deliberately stays outside the scope because
+// it drives real daemons with real clocks).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "flags wall-clock, global math/rand, goroutines and unordered map iteration in deterministic scope",
 	Run:  runDeterminism,
 }
 
-// deterministicPkgSuffixes are the import-path suffixes whose packages
-// are deterministic in their entirety.
+// deterministicPkgSuffixes are the import-path suffixes of the
+// packages in scope.
 var deterministicPkgSuffixes = []string{
 	"internal/sim",
 	"internal/netem",
@@ -49,8 +48,7 @@ var deterministicPkgSuffixes = []string{
 	"internal/chaos",
 }
 
-// deterministicPackage reports whether every function of the package is
-// in scope.
+// deterministicPackage reports whether the package is in scope.
 func deterministicPackage(path string) bool {
 	for _, s := range deterministicPkgSuffixes {
 		if path == s || strings.HasSuffix(path, "/"+s) {
@@ -61,17 +59,14 @@ func deterministicPackage(path string) bool {
 }
 
 func runDeterminism(p *Pass) {
-	wholePkg := deterministicPackage(p.Pkg.Path)
+	if !deterministicPackage(p.Pkg.Path) {
+		return
+	}
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkDeterministicFunc(p, fd)
 			}
-			if !wholePkg && !p.Facts.IsDeterministic(p.Pkg.Info.Defs[fd.Name]) {
-				continue
-			}
-			checkDeterministicFunc(p, fd)
 		}
 	}
 }

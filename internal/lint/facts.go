@@ -7,30 +7,19 @@ import (
 	"strings"
 )
 
-// The //pftk: directive vocabulary. Directives are machine-readable
-// comments that attach project invariants to declarations; the directive
-// analyzer validates spelling and placement, and the determinism,
-// guardedby and hotalloc analyzers consume them.
+// The //pftk: annotations guardedby reads. They are machine-readable
+// comments that attach a lock discipline to declarations; hotalloc reads
+// its own //pftk:hotpath marker.
 const (
-	// DirHotpath marks a function whose steady state must not allocate
-	// (consumed by hotalloc).
-	DirHotpath = "hotpath"
-	// DirDeterministic marks a function that must be reproducible:
-	// no wall clock, no global math/rand, no goroutines, no unordered
-	// map iteration (consumed by determinism).
-	DirDeterministic = "deterministic"
 	// DirGuardedBy marks a struct field or package-level variable that
-	// may only be accessed while the named mutex is held (consumed by
-	// guardedby). Form: //pftk:guardedby mu
+	// may only be accessed while the named mutex is held. Form:
+	// //pftk:guardedby mu
 	DirGuardedBy = "guardedby"
 	// DirLocked marks a function whose callers are required to hold the
-	// named mutex, exempting its guarded-field accesses (consumed by
-	// guardedby). Form: //pftk:locked(mu)
+	// named mutex, exempting its guarded-field accesses. Form:
+	// //pftk:locked(mu)
 	DirLocked = "locked"
 )
-
-// KnownDirectives lists every recognized //pftk: directive name.
-var KnownDirectives = []string{DirHotpath, DirDeterministic, DirGuardedBy, DirLocked}
 
 // directivePrefix introduces every annotation comment.
 const directivePrefix = "//pftk:"
@@ -46,9 +35,6 @@ func parseDirective(text string) (name, arg string, ok bool) {
 		return "", "", false
 	}
 	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return "", "", true // bare "//pftk:" — malformed, caller reports
-	}
 	if i := strings.IndexByte(rest, '('); i >= 0 {
 		name = rest[:i]
 		arg = rest[i+1:]
@@ -66,18 +52,16 @@ type GuardFact struct {
 	Guard string
 	// GuardObj is the resolved guard object: the sibling mutex field for
 	// struct fields, or the package-level mutex variable for guarded
-	// package variables. Nil when the name does not resolve (the
-	// directive analyzer reports that).
+	// package variables. Nil when the name does not resolve, which makes
+	// every access a finding.
 	GuardObj types.Object
 }
 
-// PackageFacts are the per-package annotation tables the cross-package
-// analyzers consume. The driver computes facts for every loaded package
+// PackageFacts are the per-package annotation tables guardedby
+// consumes. The driver computes facts for every loaded package
 // before any analyzer runs, so a pass over package B can look up the
 // guarded fields package A exported.
 type PackageFacts struct {
-	// Deterministic holds functions annotated //pftk:deterministic.
-	Deterministic map[types.Object]bool
 	// Locked maps a function to the mutex names its //pftk:locked(...)
 	// annotations declare held on entry.
 	Locked map[types.Object][]string
@@ -144,22 +128,11 @@ func (t *FactTable) LockedGuards(fn types.Object) []string {
 	return f.Locked[fn]
 }
 
-// IsDeterministic reports whether a function carries the
-// //pftk:deterministic annotation.
-func (t *FactTable) IsDeterministic(fn types.Object) bool {
-	if t == nil || fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	f := t.For(fn.Pkg())
-	return f != nil && f.Deterministic[fn]
-}
-
 // computeFacts extracts the annotation tables from one package's syntax.
 func computeFacts(pkg *Package) *PackageFacts {
 	f := &PackageFacts{
-		Deterministic: map[types.Object]bool{},
-		Locked:        map[types.Object][]string{},
-		Guarded:       map[types.Object]GuardFact{},
+		Locked:  map[types.Object][]string{},
+		Guarded: map[types.Object]GuardFact{},
 	}
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -187,8 +160,8 @@ func computeFacts(pkg *Package) *PackageFacts {
 	return f
 }
 
-// factsFromFuncDoc records deterministic/locked annotations from a
-// function's doc comment.
+// factsFromFuncDoc records locked annotations from a function's doc
+// comment.
 func factsFromFuncDoc(pkg *Package, f *PackageFacts, fd *ast.FuncDecl) {
 	if fd.Doc == nil {
 		return
@@ -198,24 +171,15 @@ func factsFromFuncDoc(pkg *Package, f *PackageFacts, fd *ast.FuncDecl) {
 		return
 	}
 	for _, c := range fd.Doc.List {
-		name, arg, ok := parseDirective(c.Text)
-		if !ok {
-			continue
-		}
-		switch name {
-		case DirDeterministic:
-			f.Deterministic[obj] = true
-		case DirLocked:
-			if arg != "" {
-				f.Locked[obj] = append(f.Locked[obj], arg)
-			}
+		if name, arg, ok := parseDirective(c.Text); ok && name == DirLocked && arg != "" {
+			f.Locked[obj] = append(f.Locked[obj], arg)
 		}
 	}
 }
 
 // factsFromStruct records guardedby annotations on struct fields. The
 // guard must be a sibling field of the same struct; resolution failures
-// leave GuardObj nil for the directive analyzer to report.
+// leave GuardObj nil.
 func factsFromStruct(pkg *Package, f *PackageFacts, st *ast.StructType) {
 	// Index sibling field objects by name for guard resolution.
 	byName := map[string]types.Object{}

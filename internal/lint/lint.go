@@ -1,36 +1,31 @@
-// Package lint implements pftklint, the project's static-analysis suite
-// for the PFTK numerics, built entirely on the standard library's go/ast,
-// go/parser, go/token and go/types packages.
+// Package lint implements pftklint, the project's static-analysis suite,
+// built entirely on the standard library's go/ast, go/parser, go/token
+// and go/types packages.
 //
-// The analyzers encode project-specific correctness rules that go vet
-// cannot know about:
+// Every analyzer catches a defect that the rest of CI (build, go vet,
+// go test with and without -race, the fuzz targets and the perfbench and
+// chaos smoke runs) lets through; TestMutationsOnlyLintCatches pins one
+// such mutation of real repository code per analyzer:
 //
 //   - floatcmp: ==/!= between non-constant floating-point expressions
-//     (the model's domain is pure float math; exact equality is only
-//     meaningful against explicitly assigned sentinels, which compare
-//     against constants and are therefore allowed).
+//     (exact equality is only meaningful against explicitly assigned
+//     sentinels, which compare against constants and are allowed).
 //   - errdrop: discarded error results in non-test code.
-//   - panicstyle: panic messages must carry the "<pkg>: " prefix.
-//   - ctorparams: exported New* constructors taking more than 5
-//     positional parameters (use a config struct or functional options).
 //   - hotalloc: capturing closures and append calls inside functions
-//     marked //pftk:hotpath — the advisory allocation gate backing the
-//     zero-allocation event core.
+//     marked //pftk:hotpath, the zero-allocation event core.
 //   - determinism: wall-clock reads, global math/rand, goroutine spawns
-//     and unordered map iteration inside the simulation packages and
-//     //pftk:deterministic functions.
+//     and unordered map iteration inside the simulation and chaos
+//     packages.
 //   - guardedby: fields and package variables annotated
 //     //pftk:guardedby mu accessed without a dominating Lock/RLock or a
 //     //pftk:locked(mu) caller contract.
-//   - ignoreaudit: every //pftklint:ignore directive must name a known
-//     analyzer, carry a justification, and actually suppress a finding.
-//   - directive: unknown or misplaced //pftk: annotations (a typo in a
-//     directive silently disables its invariant).
 //   - jsontag: structs that JSON-tag some exported fields must tag all
 //     of them — a missing tag silently leaks the Go name on the wire.
 //   - spanend: a tracez span that is started must be ended on every
 //     path (defer v.End(), End before each return, or an explicit
 //     ownership transfer) — an unended span never commits to the ring.
+//   - ignoreaudit: every //pftklint:ignore directive must name a known
+//     analyzer, carry a justification, and actually suppress a finding.
 //
 // A diagnostic can be suppressed at a specific site with a directive
 // comment on, or on the line before, the offending line:
@@ -41,8 +36,9 @@
 // comma-separated list); the rest is a mandatory justification. The
 // ignoreaudit analyzer turns malformed and stale directives into
 // findings of their own. Adding a new analyzer means writing one file
-// with a Run(*Pass) function and appending it to Analyzers — see
-// DESIGN.md's "Correctness tooling" section.
+// with a Run(*Pass) function, appending it to Analyzers and adding its
+// row to the mutation test — see DESIGN.md's "Correctness tooling"
+// section.
 package lint
 
 import (
@@ -68,12 +64,9 @@ type Analyzer struct {
 var Analyzers = []*Analyzer{
 	FloatCmpAnalyzer,
 	ErrDropAnalyzer,
-	PanicStyleAnalyzer,
-	CtorParamsAnalyzer,
 	HotAllocAnalyzer,
 	DeterminismAnalyzer,
 	GuardedByAnalyzer,
-	DirectiveAnalyzer,
 	JSONTagAnalyzer,
 	SpanEndAnalyzer,
 	IgnoreAuditAnalyzer,

@@ -36,14 +36,10 @@ type Package struct {
 // deliberately avoids golang.org/x/tools/go/packages to honour the
 // repository's zero-dependency constraint.
 //
-// Limitations (acceptable for a single self-contained module): external
-// test packages (package foo_test) are never loaded, cgo is not supported,
-// and only the default build configuration (host GOOS/GOARCH, no extra
-// tags) is analyzed.
+// Limitations (acceptable for a single self-contained module): test files
+// are never loaded, cgo is not supported, and only the default build
+// configuration (host GOOS/GOARCH, no extra tags) is analyzed.
 type Loader struct {
-	// IncludeTests also loads in-package _test.go files.
-	IncludeTests bool
-
 	fset    *token.FileSet
 	root    string // absolute module root (directory of go.mod)
 	modPath string // module path from go.mod
@@ -296,9 +292,8 @@ func (l *Loader) load(path string) (*Package, error) {
 
 // sourceFiles lists the .go files of dir that belong to the analyzed
 // build, as go/build selects them for the host configuration: build
-// constraints and GOOS/GOARCH filename suffixes applied, external test
-// files (package foo_test) never, in-package test files only when
-// IncludeTests is set. A directory without Go files yields none.
+// constraints and GOOS/GOARCH filename suffixes applied, test files
+// excluded. A directory without Go files yields none.
 func (l *Loader) sourceFiles(dir string) ([]string, error) {
 	bp, err := build.Default.ImportDir(dir, 0)
 	if _, ok := err.(*build.NoGoError); ok {
@@ -307,10 +302,5 @@ func (l *Loader) sourceFiles(dir string) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	names := bp.GoFiles
-	if l.IncludeTests {
-		names = append(names, bp.TestGoFiles...)
-		sort.Strings(names)
-	}
-	return names, nil
+	return bp.GoFiles, nil
 }

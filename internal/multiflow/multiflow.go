@@ -484,8 +484,6 @@ func (r Result) Digest() string {
 
 // Run builds a fresh engine for cfg, runs it for cfg.Duration simulated
 // seconds and returns the per-flow and aggregate results.
-//
-//pftk:deterministic
 func Run(cfg Config) Result {
 	var eng sim.Engine
 	m := New(&eng, cfg)

@@ -29,9 +29,6 @@ const (
 	// Feedback is a TFRC receiver report (P, Rate, Sent as the echoed
 	// send timestamp).
 	Feedback
-	// Cross is background cross traffic: it occupies link queues and
-	// consumes bottleneck capacity but no protocol consumes it.
-	Cross
 )
 
 // String returns the wire-format name of the kind.
@@ -45,8 +42,6 @@ func (k Kind) String() string {
 		return "ratedata"
 	case Feedback:
 		return "feedback"
-	case Cross:
-		return "cross"
 	default:
 		return "unknown"
 	}

@@ -89,9 +89,8 @@ func (r *Receiver) Duplicates() int { return r.duplicates }
 func (r *Receiver) AcksSent() int { return r.acksSent }
 
 // OnPacket handles one arriving data packet. Pass it as the forward link's
-// delivery callback. Packets of other kinds (cross traffic, other
-// protocols sharing the link) are ignored, as are data packets stamped
-// with another flow's ID.
+// delivery callback. Packets of other kinds (TFRC flows sharing the
+// link) are ignored, as are data packets stamped with another flow's ID.
 //
 //pftk:hotpath
 func (r *Receiver) OnPacket(p pkt.Packet) {

@@ -396,12 +396,12 @@ func TestReceiverCountsDuplicates(t *testing.T) {
 	}
 }
 
-func TestReceiverIgnoresCrossTraffic(t *testing.T) {
+func TestReceiverIgnoresTFRCData(t *testing.T) {
 	var eng sim.Engine
 	rcv := NewReceiver(&eng, netem.NewLink(&eng, netem.LinkConfig{}), func(pkt.Packet) {}, ReceiverConfig{})
-	rcv.OnPacket(pkt.Packet{Kind: pkt.Cross}) // non-data payload
+	rcv.OnPacket(pkt.Packet{Seq: 1, Kind: pkt.RateData}) // a TFRC datagram sharing the link
 	if rcv.Received() != 0 {
-		t.Error("cross traffic should not count as received data")
+		t.Error("TFRC data should not count as received TCP data")
 	}
 }
 

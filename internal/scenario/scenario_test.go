@@ -161,7 +161,6 @@ func TestDurationRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse(Encode()) = %v", err)
 	}
-	//pftklint:ignore floatcmp codec round-trip must be bit-exact
 	if back.Duration != 60 {
 		t.Fatalf("Duration round-tripped to %v, want 60", back.Duration)
 	}

@@ -340,13 +340,10 @@ func Sim(opts ...SimOption) SimResult {
 	return runSim(c)
 }
 
-// runSim is the single execution path behind Sim. It is
-// annotated deterministic: for a fixed config (including the seed) it
-// must produce byte-identical traces — the contract the golden tests and
-// serial==parallel campaign identity rest on — so the determinism
-// analyzer checks it like the simulation packages themselves.
-//
-//pftk:deterministic
+// runSim is the single execution path behind Sim. For a fixed config
+// (including the seed) it must produce byte-identical traces — the
+// contract the golden tests and serial==parallel campaign identity rest
+// on.
 func runSim(c SimConfig) SimResult {
 	if c.Duration <= 0 {
 		c.Duration = 100
