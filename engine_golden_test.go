@@ -13,6 +13,7 @@ package pftk
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"flag"
 	"fmt"
@@ -26,6 +27,7 @@ import (
 	"pftk/internal/netem"
 	"pftk/internal/reno"
 	"pftk/internal/sim"
+	"pftk/internal/tfrc"
 	"pftk/internal/trace"
 )
 
@@ -136,4 +138,58 @@ func TestEngineGoldenReorderWindow(t *testing.T) {
 		t.Error("the duplication window copied no packet")
 	}
 	checkGolden(t, "reorder_dup_window.sha256", renoDigest(t, res))
+}
+
+// TestEngineGoldenTFRCFairness pins one TFRC flow sharing a drop-tail
+// bottleneck with two Reno flows. TFRC reports four times per RTT over
+// its own jittered, lossy reverse link, so several reports are in flight
+// at once; the link also passes through a reordering window and a
+// duplication window. Reports are lost, overtake one another and arrive
+// twice, and the sender must apply exactly the report each feedback
+// packet carries. The digest covers TFRC's rate log and counters and both
+// Reno traces.
+func TestEngineGoldenTFRCFairness(t *testing.T) {
+	var eng sim.Engine
+	fwd := netem.NewLink(&eng, netem.LinkConfig{Rate: 100, QueueCap: 25, Delay: netem.ConstantDelay(0.04)})
+	var senders []*reno.Sender
+	for i := int32(0); i < 2; i++ {
+		rev := netem.NewLink(&eng, netem.LinkConfig{Delay: netem.ConstantDelay(0.04)})
+		snd := reno.NewSender(&eng, fwd, reno.SenderConfig{RWnd: 64, MinRTO: 0.5, Tick: 0.1, FlowID: i})
+		rcv := reno.NewReceiver(&eng, rev, snd.OnAck, reno.ReceiverConfig{FlowID: i})
+		snd.SetDeliver(rcv.OnPacket)
+		senders = append(senders, snd)
+	}
+	fbRev := netem.NewLink(&eng, netem.LinkConfig{
+		Delay: &netem.UniformJitterDelay{Base: 0.08, Jitter: 0.1, RNG: sim.NewRNG(21)},
+		Loss:  netem.NewBernoulli(0.1, sim.NewRNG(22)),
+	})
+	flow := tfrc.NewFlowOnLinks(&eng, fwd, fbRev, tfrc.Config{FeedbackRTTs: 0.25, FlowID: 2})
+	eng.Schedule(60, func() { fbRev.SetReorder(true) })
+	eng.Schedule(120, func() { fbRev.SetReorder(false) })
+	eng.Schedule(100, func() { fbRev.SetDuplicate(0.2, sim.NewRNG(23)) })
+	eng.Schedule(150, func() { fbRev.SetDuplicate(0, nil) })
+	for _, s := range senders {
+		s.Start()
+	}
+	flow.Start()
+	eng.RunUntil(300)
+	flow.Stop()
+
+	var buf bytes.Buffer
+	for _, s := range senders {
+		s.Stop()
+		if err := trace.Encode(&buf, s.Trace()); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "stats %+v\n", s.Stats())
+	}
+	if err := binary.Write(&buf, binary.LittleEndian, flow.RateLog); err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&buf, "tfrc sent %d received %d\n", flow.Sent(), flow.Received())
+	if fbRev.Stats().RandomDrops == 0 || fbRev.Stats().Duplicated == 0 {
+		t.Errorf("feedback link %v lost or duplicated no report", fbRev.Stats())
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	checkGolden(t, "tfrc_fairness.sha256", hex.EncodeToString(sum[:]))
 }
