@@ -255,23 +255,28 @@ func (k *karnTimer) observe(r trace.Record) (float64, bool) {
 	return 0, false
 }
 
-// meanKarnRTT is stats.Mean(KarnRTTSamples(tr)) without materializing the
-// samples: the same in-order sum divided by the count, so the result is
-// bit-identical. It returns 0 when the trace yields no sample.
-func meanKarnRTT(tr trace.Trace) float64 {
+// sentAndMeanRTT is Summarize's single pass over the trace. It returns
+// tr.PacketsSent() and stats.Mean(KarnRTTSamples(tr)), the latter without
+// materializing the samples: the same in-order sum divided by the count,
+// so the mean is bit-identical. The mean is 0 when the trace yields no
+// sample.
+func sentAndMeanRTT(tr trace.Trace) (sent int, meanRTT float64) {
 	var k karnTimer
 	var sum float64
 	n := 0
 	for _, r := range tr {
+		if r.Kind == trace.KindSend || r.Kind == trace.KindRetransmit {
+			sent++
+		}
 		if rtt, ok := k.observe(r); ok {
 			sum += rtt
 			n++
 		}
 	}
-	if n == 0 {
-		return 0
+	if n > 0 {
+		meanRTT = sum / float64(n)
 	}
-	return sum / float64(n)
+	return sent, meanRTT
 }
 
 // Summary is one row of Table II.
@@ -321,11 +326,8 @@ func (s Summary) String() string {
 // Summarize builds a Table II row from a trace and its loss events
 // (ground-truth or inferred).
 func Summarize(tr trace.Trace, events []LossEvent) Summary {
-	s := Summary{
-		Duration:    tr.Duration(),
-		PacketsSent: tr.PacketsSent(),
-		Events:      events,
-	}
+	s := Summary{Duration: tr.Duration(), Events: events}
+	s.PacketsSent, s.MeanRTT = sentAndMeanRTT(tr)
 	var t0s stats.Running
 	for _, e := range events {
 		s.LossIndications++
@@ -348,7 +350,6 @@ func Summarize(tr trace.Trace, events []LossEvent) Summary {
 	if s.PacketsSent > 0 {
 		s.P = float64(s.LossIndications) / float64(s.PacketsSent)
 	}
-	s.MeanRTT = meanKarnRTT(tr)
 	if t0s.N() > 0 {
 		s.MeanT0 = t0s.Mean()
 	}

@@ -320,8 +320,11 @@ func TestInferenceMatchesGroundTruthOnSimulatedTraces(t *testing.T) {
 			t.Errorf("drop=%g: inferred TO sequences %d vs ground truth %d",
 				drop, infSum.TimeoutSequences(), gtSum.TimeoutSequences())
 		}
-		// The streamed mean is the mean of the collected samples, bit
-		// for bit, and costs no allocation.
+		// The one-pass count and streamed mean match the separate
+		// scans, the mean bit for bit, and cost no allocation.
+		if want := res.Trace.PacketsSent(); gtSum.PacketsSent != want {
+			t.Errorf("drop=%g: PacketsSent %d, trace count %d", drop, gtSum.PacketsSent, want)
+		}
 		if want := stats.Mean(KarnRTTSamples(res.Trace)); math.Float64bits(gtSum.MeanRTT) != math.Float64bits(want) {
 			t.Errorf("drop=%g: MeanRTT %v, mean of Karn samples %v", drop, gtSum.MeanRTT, want)
 		}

@@ -3,6 +3,7 @@ package netem
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"pftk/internal/pkt"
 	"pftk/internal/sim"
@@ -155,55 +156,61 @@ type queued struct {
 // ring is a growable circular buffer of queued packets. Pre-sized to the
 // link's QueueCap, it recycles its slots so the steady-state FIFO path
 // never allocates; growth (capacity raised at runtime) is amortized
-// doubling.
+// doubling. The capacity is a power of two, so a position wraps with a
+// mask instead of an integer divide.
 type ring struct {
-	buf  []queued
-	head int // index of the oldest element
-	n    int // number of queued elements
+	buf  []queued // len is 0 or a power of two
+	head int      // index of the oldest element
+	n    int      // number of queued elements
 }
 
-// push appends one packet at the tail.
-func (r *ring) push(q queued) {
+// push appends one packet at the tail, storing its fields into the slot
+// one by one rather than block-copying a queued value.
+//
+//pftk:hotpath
+func (r *ring) push(payload pkt.Packet, deliver func(pkt.Packet)) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = q
+	q := &r.buf[(r.head+r.n)&(len(r.buf)-1)]
+	q.payload, q.deliver = payload, deliver
 	r.n++
 }
 
-// pop removes and returns the oldest packet, clearing the vacated slot so
-// the ring never pins delivered payloads.
-func (r *ring) pop() queued {
-	q := r.buf[r.head]
-	r.buf[r.head] = queued{}
-	r.head = (r.head + 1) % len(r.buf)
+// pop removes and returns the oldest packet, dropping the slot's
+// reference to the callback so the ring never pins it. The pointer-free
+// payload is left for the next push to overwrite.
+//
+//pftk:hotpath
+func (r *ring) pop() (pkt.Packet, func(pkt.Packet)) {
+	q := &r.buf[r.head]
+	payload, deliver := q.payload, q.deliver
+	q.deliver = nil
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return q
+	return payload, deliver
 }
 
 // grow doubles the ring's capacity, linearizing the live elements.
 func (r *ring) grow() {
-	newCap := 2 * len(r.buf)
-	if newCap < 4 {
-		newCap = 4
-	}
-	buf := make([]queued, newCap)
+	buf := make([]queued, max(2*len(r.buf), 4))
 	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)%len(r.buf)]
+		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}
 	r.buf = buf
 	r.head = 0
 }
 
-// presize allocates capacity for n packets up front (bounded, so an
-// absurd QueueCap cannot balloon memory before any packet queues).
+// presize allocates capacity for n packets up front, rounded up to a
+// power of two (bounded, so an absurd QueueCap cannot balloon memory
+// before any packet queues).
 func (r *ring) presize(n int) {
 	const maxPresize = 4096
 	if n > maxPresize {
 		n = maxPresize
 	}
 	if n > 0 {
-		r.buf = make([]queued, n)
+		r.buf = make([]queued, 1<<bits.Len(uint(n-1)))
 	}
 }
 
@@ -311,7 +318,7 @@ func (l *Link) admit(payload pkt.Packet, deliver func(pkt.Packet)) {
 			}
 			return
 		}
-		l.queue.push(queued{payload, deliver})
+		l.queue.push(payload, deliver)
 		if l.queue.n > l.stats.MaxQueue {
 			l.stats.MaxQueue = l.queue.n
 		}
@@ -334,8 +341,7 @@ func (l *Link) serve(payload pkt.Packet, deliver func(pkt.Packet)) {
 		l.busy = false
 		l.propagate(payload, deliver)
 		for l.queue.n > 0 {
-			next := l.queue.pop()
-			l.propagate(next.payload, next.deliver)
+			l.propagate(l.queue.pop())
 		}
 		l.cfg.Metrics.Queue.Set(0)
 		return
@@ -354,12 +360,12 @@ func (l *Link) serve(payload pkt.Packet, deliver func(pkt.Packet)) {
 func (l *Link) onTxDone() {
 	l.stats.BusySeconds += l.eng.Now() - l.stats.lastBusyFrom
 	payload, deliver := l.txPayload, l.txDeliver
-	l.txPayload, l.txDeliver = pkt.Packet{}, nil
+	l.txDeliver = nil
 	l.propagate(payload, deliver)
 	if l.queue.n > 0 {
-		next := l.queue.pop()
+		payload, deliver = l.queue.pop()
 		l.cfg.Metrics.Queue.Set(float64(l.queue.n))
-		l.serve(next.payload, next.deliver)
+		l.serve(payload, deliver)
 	} else {
 		l.busy = false
 	}

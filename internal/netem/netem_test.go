@@ -259,7 +259,7 @@ func TestLinkPayloadIntegrity(t *testing.T) {
 	l := NewLink(&eng, LinkConfig{Rate: 10, QueueCap: 5, Delay: ConstantDelay(0.01)})
 	var got []pkt.Packet
 	for i, k := range []pkt.Kind{pkt.Data, pkt.Ack, pkt.Feedback} {
-		l.Send(pkt.Packet{Seq: uint64(i + 1), Kind: k, Flow: int32(i), Sent: float64(i) * 0.5, Retx: i == 2},
+		l.Send(pkt.Packet{Seq: uint64(i + 1), Kind: k, Flow: int32(i), Sent: float64(i) * 0.5},
 			func(p pkt.Packet) { got = append(got, p) })
 	}
 	eng.Run()
@@ -267,7 +267,7 @@ func TestLinkPayloadIntegrity(t *testing.T) {
 		t.Fatalf("delivered %d packets, want 3", len(got))
 	}
 	for i, p := range got {
-		want := pkt.Packet{Seq: uint64(i + 1), Flow: int32(i), Sent: float64(i) * 0.5, Retx: i == 2}
+		want := pkt.Packet{Seq: uint64(i + 1), Flow: int32(i), Sent: float64(i) * 0.5}
 		switch i {
 		case 0:
 			want.Kind = pkt.Data

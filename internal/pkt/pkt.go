@@ -11,6 +11,14 @@
 // cost is one discriminator check at each protocol boundary (a receiver
 // ignores Kinds it does not own), exactly like demultiplexing on a real
 // shared link.
+//
+// Packet has four fields in 24 bytes. Go passes and keeps a struct of at
+// most four fields and 32 bytes in registers; a larger one is spilled to
+// the stack at every call and reloaded with block moves, which cost more
+// than the packet path's own work (TestPacketFitsInRegisters). A protocol
+// whose message carries more than fits keeps the rest on its own side and
+// names it by Seq: a TFRC feedback packet carries the index of the
+// receiver report it delivers, and the report stays in the tfrc.Flow.
 package pkt
 
 // Kind discriminates the protocol payload a Packet carries. The zero
@@ -26,8 +34,8 @@ const (
 	Ack
 	// RateData is a paced TFRC datagram (Seq, Sent).
 	RateData
-	// Feedback is a TFRC receiver report (P, Rate, Sent as the echoed
-	// send timestamp).
+	// Feedback is a TFRC receiver report: Seq is the report's index in
+	// the flow's report table and Sent the echoed send timestamp.
 	Feedback
 )
 
@@ -48,27 +56,20 @@ func (k Kind) String() string {
 }
 
 // Packet is one datagram on an emulated link. It is a pointer-free value
-// type sized for the event arena: copying it is a handful of word moves
-// and a recycled slot retains no heap references. Fields beyond Seq are
-// interpreted per Kind; unused fields stay zero.
+// type sized for registers and the event arena: copying it is three word
+// moves and a recycled slot retains no heap references. Fields are
+// interpreted per Kind.
 type Packet struct {
-	// Seq is the data sequence number (Data, RateData) or the
-	// cumulative acknowledgment number (Ack).
+	// Seq is the data sequence number (Data, RateData), the cumulative
+	// acknowledgment number (Ack) or the report index (Feedback).
 	Seq uint64
 	// Sent is the send timestamp (RateData) or the echoed send
 	// timestamp for RTT measurement (Feedback).
 	Sent float64
-	// Rate is the receive rate reported by TFRC feedback (pkts/s).
-	Rate float64
-	// P is the loss-event rate reported by TFRC feedback.
-	P float64
 	// Flow identifies the sending flow when several share a link; the
 	// per-flow link counters and multi-flow traces key on it. Single
 	// flow runs leave it 0.
 	Flow int32
 	// Kind discriminates the payload; the zero value is Data.
 	Kind Kind
-	// Retx marks TCP retransmissions (diagnostic only; receivers do
-	// not see this bit on a real wire and never read it).
-	Retx bool
 }

@@ -208,10 +208,13 @@ func (s *Sender) Estimator() *RTOEstimator { return s.est }
 // BaseRTO returns the current first-timeout duration — the live T0.
 func (s *Sender) BaseRTO() float64 { return s.est.RTO() }
 
+// log appends one record stamped with the current time. It takes the
+// record's fields rather than a Record so that they stay in registers
+// down to the store into the trace buffer.
+//
 //pftk:hotpath
-func (s *Sender) log(r trace.Record) {
-	r.Time = s.eng.Now()
-	s.trace.Append(r)
+func (s *Sender) log(kind trace.Kind, seq, ack uint64, val float64) {
+	s.trace.Append(s.eng.Now(), kind, seq, ack, val)
 }
 
 // sendWindow returns the current usable window in whole packets.
@@ -256,7 +259,7 @@ func (s *Sender) Complete() bool {
 
 func (s *Sender) sendNew(seq uint64) {
 	s.stats.PacketsSent++
-	s.log(trace.Record{Kind: trace.KindSend, Seq: seq})
+	s.log(trace.KindSend, seq, 0, 0)
 	if !s.timing {
 		s.timing = true
 		s.timedSeq = seq
@@ -275,11 +278,11 @@ func (s *Sender) sendNew(seq uint64) {
 func (s *Sender) resend(seq uint64) {
 	s.stats.Retransmits++
 	s.stats.TimeoutRetx++
-	s.log(trace.Record{Kind: trace.KindRetransmit, Seq: seq, Val: 1})
+	s.log(trace.KindRetransmit, seq, 0, 1)
 	if s.timing && seq == s.timedSeq {
 		s.timedValid = false
 	}
-	s.forward.Send(pkt.Packet{Seq: seq, Retx: true, Flow: s.cfg.FlowID}, s.toRecv)
+	s.forward.Send(pkt.Packet{Seq: seq, Flow: s.cfg.FlowID}, s.toRecv)
 	if !s.rtoTimer.Pending() {
 		s.restartRTO()
 	}
@@ -296,12 +299,12 @@ func (s *Sender) retransmit(seq uint64, timeout bool) {
 	} else {
 		s.stats.FastRetx++
 	}
-	s.log(trace.Record{Kind: trace.KindRetransmit, Seq: seq, Val: val})
+	s.log(trace.KindRetransmit, seq, 0, val)
 	if s.timing && seq == s.timedSeq {
 		// Karn's rule: a retransmitted segment yields no RTT sample.
 		s.timedValid = false
 	}
-	s.forward.Send(pkt.Packet{Seq: seq, Retx: true, Flow: s.cfg.FlowID}, s.toRecv)
+	s.forward.Send(pkt.Packet{Seq: seq, Flow: s.cfg.FlowID}, s.toRecv)
 }
 
 // effectiveRTO applies exponential backoff with the variant's cap. The
@@ -345,7 +348,7 @@ func (s *Sender) onTimeout() {
 		// counts as one loss indication.
 		s.cfg.Metrics.TimeoutSeqs.Inc()
 	}
-	s.log(trace.Record{Kind: trace.KindTimeoutFired, Val: float64(s.backoffExp)})
+	s.log(trace.KindTimeoutFired, 0, 0, float64(s.backoffExp))
 
 	s.ssthresh = math.Max(float64(s.InFlight())/2, 2)
 	s.setCwnd(1)
@@ -374,7 +377,7 @@ func (s *Sender) setCwnd(w float64) {
 	s.cwnd = w
 	s.cfg.Metrics.Cwnd.Observe(w)
 	if s.cfg.TraceCwnd {
-		s.log(trace.Record{Kind: trace.KindCwndChange, Val: w})
+		s.log(trace.KindCwndChange, 0, 0, w)
 	}
 }
 
@@ -390,7 +393,7 @@ func (s *Sender) OnAck(p pkt.Packet) {
 	ack := p.Seq
 	s.stats.AcksReceived++
 	s.cfg.Metrics.Acks.Inc()
-	s.log(trace.Record{Kind: trace.KindAck, Ack: ack})
+	s.log(trace.KindAck, 0, ack, 0)
 	switch {
 	case ack > s.una:
 		s.onNewAck(ack)
@@ -408,7 +411,7 @@ func (s *Sender) onNewAck(ack uint64) {
 			s.est.Sample(sample)
 			s.stats.RTTSamples++
 			s.cfg.Metrics.RTT.Observe(sample)
-			s.log(trace.Record{Kind: trace.KindRoundSample, Seq: uint64(s.timedFlight), Val: sample})
+			s.log(trace.KindRoundSample, uint64(s.timedFlight), 0, sample)
 		}
 		s.timing = false
 	}
@@ -462,7 +465,7 @@ func (s *Sender) onDupAck() {
 	// Fast retransmit: a TD loss indication.
 	s.stats.TDEvents++
 	s.cfg.Metrics.IndicationsTD.Inc()
-	s.log(trace.Record{Kind: trace.KindTDIndication, Seq: s.una})
+	s.log(trace.KindTDIndication, s.una, 0, 0)
 	s.ssthresh = math.Max(float64(s.InFlight())/2, 2)
 	s.retransmit(s.una, false)
 	if s.cfg.Variant.Tahoe {

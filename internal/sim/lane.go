@@ -23,6 +23,8 @@ type Lane struct {
 }
 
 // laneItem is one pending delivery; seq is drawn when it is scheduled.
+// The schedule paths store its fields one by one: a laneItem literal is
+// built on the stack and block-copied into the ring.
 type laneItem struct {
 	at  float64
 	seq uint64
@@ -84,7 +86,8 @@ func (l *Lane) SchedulePacket(fn func(pkt.Packet), p pkt.Packet) {
 	if l.n == len(l.items) {
 		l.grow()
 	}
-	l.items[(l.head+l.n)&(len(l.items)-1)] = laneItem{at: at, seq: seq, fn: fn, pkt: p}
+	it := &l.items[(l.head+l.n)&(len(l.items)-1)]
+	it.at, it.seq, it.fn, it.pkt = at, seq, fn, p
 	l.n++
 	if l.n == 1 {
 		e.push(node{at: at, seq: seq, id: l.id})
@@ -111,7 +114,8 @@ func (l *Lane) SchedulePacketAt(at float64, fn func(pkt.Packet), p pkt.Packet) {
 	if l.n == len(l.items) {
 		l.grow()
 	}
-	l.items[(l.head+l.n)&(len(l.items)-1)] = laneItem{at: at, seq: seq, fn: fn, pkt: p}
+	it := &l.items[(l.head+l.n)&(len(l.items)-1)]
+	it.at, it.seq, it.fn, it.pkt = at, seq, fn, p
 	l.n++
 	if l.n == 1 {
 		e.push(node{at: at, seq: seq, id: l.id})

@@ -99,8 +99,29 @@ func (h *LossHistory) LossEventRate() float64 {
 
 // On the wire a TFRC flow uses two pkt.Packet kinds: pkt.RateData for
 // the paced datagrams (Seq, Sent) and pkt.Feedback for the once-per-RTT
-// receiver report (P, Rate as the receive rate, Sent echoing the send
-// timestamp of the most recent packet for RTT measurement).
+// receiver report (Sent echoing the send timestamp of the most recent
+// packet for RTT measurement). The report's loss-event rate and receive
+// rate do not ride in the packet, which keeps pkt.Packet small enough
+// for registers: the receiver files them in the flow's report table and
+// the feedback packet carries the table index in Seq. The sender reads
+// back exactly the report the packet names, whichever reports were lost,
+// duplicated or overtaken on the way.
+
+// reportSlots is the size of a flow's report table, a power of two. The
+// receiver writes report i to slot i mod reportSlots, so a report stays
+// readable until reportSlots later reports have been issued. Reports go
+// out at most once per feedback interval (at least FeedbackRTTs times
+// 100 ms) and spend about half an RTT in flight, so a live report is
+// never overwritten in practice; one that is, reportSlots intervals
+// late, is dropped as stale, as if lost.
+const reportSlots = 64
+
+// report is one receiver report in the table.
+type report struct {
+	idx  uint64  // report index, from 1
+	p    float64 // loss-event rate
+	rate float64 // receive rate, pkts/s
+}
 
 // Config parameterizes a TFRC flow.
 type Config struct {
@@ -163,6 +184,10 @@ type Flow struct {
 	recvInWin      int
 	lastFbTime     float64
 	rttEst         float64
+
+	// Reports in flight, indexed by report index mod reportSlots.
+	reports    [reportSlots]report
+	nextReport uint64
 
 	// Diagnostics: rate trajectory (time, pace) sampled at each update.
 	RateLog []RatePoint
@@ -263,22 +288,25 @@ func (f *Flow) onReceive(p pkt.Packet) {
 	interval := f.cfg.FeedbackRTTs * math.Max(f.rttEst, 0.1)
 	if now-f.lastFbTime >= interval {
 		win := now - f.lastFbTime
-		fb := pkt.Packet{
-			Kind: pkt.Feedback,
-			Flow: f.cfg.FlowID,
-			P:    f.history.LossEventRate(),
-			Rate: float64(f.recvInWin) / win,
-			Sent: p.Sent,
+		f.nextReport++
+		f.reports[f.nextReport&(reportSlots-1)] = report{
+			idx:  f.nextReport,
+			p:    f.history.LossEventRate(),
+			rate: float64(f.recvInWin) / win,
 		}
 		f.lastFbTime = now
 		f.recvInWin = 0
-		f.rev.Send(fb, f.onFeedback)
+		f.rev.Send(pkt.Packet{Seq: f.nextReport, Sent: p.Sent, Flow: f.cfg.FlowID, Kind: pkt.Feedback}, f.onFeedback)
 	}
 }
 
 // onFeedback is the sender side: apply the throughput equation.
 func (f *Flow) onFeedback(fb pkt.Packet) {
 	if fb.Kind != pkt.Feedback || fb.Flow != f.cfg.FlowID || f.stopped {
+		return
+	}
+	rep, ok := f.report(fb.Seq)
+	if !ok {
 		return
 	}
 	// RTT sample: now - send time of the echoed packet (the feedback
@@ -292,17 +320,24 @@ func (f *Flow) onFeedback(fb pkt.Packet) {
 		}
 	}
 	var target float64
-	if fb.P <= 0 {
+	if rep.p <= 0 {
 		// No loss seen yet: double per feedback interval, bounded by
 		// twice the receive rate (RFC 5348 slow start).
-		target = math.Min(2*f.rate, 2*math.Max(fb.Rate, 1))
+		target = math.Min(2*f.rate, 2*math.Max(rep.rate, 1))
 	} else {
 		pr := core.Params{RTT: math.Max(f.rttEst, 1e-3), T0: 4 * math.Max(f.rttEst, 1e-3), Wm: 0, B: f.cfg.B}
-		target = core.SendRateApprox(fb.P, pr)
+		target = core.SendRateApprox(rep.p, pr)
 		// RFC 5348 bounds the send rate by twice the reported receive
 		// rate to stay responsive to reductions.
-		target = math.Min(target, 2*math.Max(fb.Rate, 0.5))
+		target = math.Min(target, 2*math.Max(rep.rate, 0.5))
 	}
 	f.rate = math.Min(math.Max(target, 0.5), f.cfg.MaxRate)
 	f.RateLog = append(f.RateLog, RatePoint{Time: f.eng.Now(), Rate: f.rate})
+}
+
+// report returns the receiver report with index idx, or false once it has
+// been overwritten.
+func (f *Flow) report(idx uint64) (report, bool) {
+	r := f.reports[idx&(reportSlots-1)]
+	return r, r.idx == idx
 }

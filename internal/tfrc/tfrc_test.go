@@ -6,6 +6,7 @@ import (
 
 	"pftk/internal/core"
 	"pftk/internal/netem"
+	"pftk/internal/pkt"
 	"pftk/internal/reno"
 	"pftk/internal/sim"
 	"pftk/internal/stats"
@@ -249,5 +250,70 @@ func TestRateLogRecordsTrajectory(t *testing.T) {
 	}
 	if ups == 0 || downs == 0 {
 		t.Errorf("rate trajectory should oscillate: %d ups, %d downs", ups, downs)
+	}
+}
+
+// linkFunc adapts a function to the Link interface.
+type linkFunc func(p pkt.Packet, deliver func(pkt.Packet))
+
+func (f linkFunc) Send(p pkt.Packet, deliver func(pkt.Packet)) { f(p, deliver) }
+
+// TestFeedbackNamesItsReport: a feedback packet reads back exactly the
+// report the receiver filed under its index, in whatever order feedback
+// arrives and whichever packets are lost or duplicated, until reportSlots
+// later reports have overwritten it.
+func TestFeedbackNamesItsReport(t *testing.T) {
+	var eng sim.Engine
+	var f *Flow
+	var sent []pkt.Packet
+	var filed []report
+	rev := linkFunc(func(p pkt.Packet, _ func(pkt.Packet)) {
+		r, ok := f.report(p.Seq)
+		if !ok || p.Kind != pkt.Feedback {
+			t.Fatalf("feedback %+v does not name a filed report", p)
+		}
+		sent = append(sent, p)
+		filed = append(filed, r)
+	})
+	f = NewFlowOnLinks(&eng, rev, rev, Config{})
+	// Data arrives every 30 ms with every 13th packet missing, so the
+	// reports carry varying loss-event and receive rates.
+	for seq := uint64(1); seq <= 1000; seq++ {
+		if seq%13 == 0 {
+			continue
+		}
+		at := float64(seq) * 0.03
+		p := pkt.Packet{Seq: seq, Sent: at, Kind: pkt.RateData}
+		eng.Schedule(at, func() { f.onReceive(p) })
+	}
+	eng.Run()
+	n := len(sent)
+	if n <= 2*reportSlots {
+		t.Fatalf("%d reports issued, want more than %d", n, 2*reportSlots)
+	}
+	distinct := map[report]bool{}
+	for _, r := range filed {
+		distinct[report{p: r.p, rate: r.rate}] = true
+	}
+	if len(distinct) < 10 {
+		t.Fatalf("only %d distinct reports; the test cannot tell them apart", len(distinct))
+	}
+	// The newest reportSlots reports arrive newest first, every third is
+	// lost and every other one arrives twice.
+	for i := n - 1; i >= n-reportSlots; i-- {
+		if i%3 == 0 {
+			continue
+		}
+		for range 1 + i%2 {
+			if got, ok := f.report(sent[i].Seq); !ok || got != filed[i] {
+				t.Errorf("report %d: got %+v (found %v), want %+v", sent[i].Seq, got, ok, filed[i])
+			}
+		}
+	}
+	// Older reports have been overwritten and read as stale.
+	for i := 0; i < n-reportSlots; i++ {
+		if _, ok := f.report(sent[i].Seq); ok {
+			t.Errorf("report %d of %d still readable after %d later reports", sent[i].Seq, n, n-1-i)
+		}
 	}
 }

@@ -35,15 +35,21 @@ func NewBuffer(capacity int) *Buffer {
 // NaN or infinite t leaves growth at plain doubling.
 func (b *Buffer) SetStop(t float64) { b.stop = t }
 
-// Append adds one record at the tail, growing the buffer only when full.
+// Append adds the record {t, k, seq, ack, val} at the tail, growing the
+// buffer only when full. It takes the fields rather than a Record and
+// stores them one by one into the tail slot, so a caller's values go
+// from registers to the buffer without a Record built and block-copied
+// on the stack.
 //
 //pftk:hotpath
-func (b *Buffer) Append(r Record) {
-	if len(b.recs) == cap(b.recs) {
-		b.grow(r.Time)
+func (b *Buffer) Append(t float64, k Kind, seq, ack uint64, val float64) {
+	n := len(b.recs)
+	if n == cap(b.recs) {
+		b.grow(t)
 	}
-	//pftklint:ignore hotalloc grow above guarantees spare capacity; this append never reallocates
-	b.recs = append(b.recs, r)
+	b.recs = b.recs[:n+1]
+	r := &b.recs[n]
+	r.Time, r.Kind, r.Seq, r.Ack, r.Val = t, k, seq, ack, val
 }
 
 // grow reallocates the full buffer (cold path; Append calls it only when

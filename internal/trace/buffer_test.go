@@ -8,7 +8,7 @@ import (
 func TestBufferAppendAndRecords(t *testing.T) {
 	b := NewBuffer(4)
 	for i := 0; i < 10; i++ {
-		b.Append(Record{Time: float64(i), Kind: KindSend, Seq: uint64(i)})
+		b.Append(float64(i), KindSend, uint64(i), 0, 0)
 	}
 	if b.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", b.Len())
@@ -26,7 +26,7 @@ func TestBufferAppendAndRecords(t *testing.T) {
 
 func TestBufferZeroCapacityUsable(t *testing.T) {
 	b := NewBuffer(0)
-	b.Append(Record{Kind: KindAck, Ack: 7})
+	b.Append(0, KindAck, 0, 7, 0)
 	if b.Len() != 1 || b.Records()[0].Ack != 7 {
 		t.Errorf("records = %v", b.Records())
 	}
@@ -35,7 +35,7 @@ func TestBufferZeroCapacityUsable(t *testing.T) {
 func TestBufferReset(t *testing.T) {
 	b := NewBuffer(8)
 	for i := 0; i < 20; i++ {
-		b.Append(Record{Time: float64(i), Kind: KindSend})
+		b.Append(float64(i), KindSend, 0, 0, 0)
 	}
 	c := cap(b.recs)
 	b.Reset()
@@ -56,7 +56,7 @@ func growthLog(n int, dt, stop float64) (*Buffer, int) {
 	grows := 0
 	for i := 0; i < n; i++ {
 		c := cap(b.recs)
-		b.Append(Record{Time: float64(i) * dt, Kind: KindSend, Seq: uint64(i)})
+		b.Append(float64(i)*dt, KindSend, uint64(i), 0, 0)
 		if cap(b.recs) != c {
 			grows++
 		}
@@ -113,7 +113,7 @@ func TestBufferStopNoElapsedTime(t *testing.T) {
 	b := NewBuffer(4)
 	b.SetStop(100)
 	for i := 0; i < 5; i++ {
-		b.Append(Record{Time: 1, Kind: KindSend})
+		b.Append(1, KindSend, 0, 0, 0)
 	}
 	if cap(b.recs) != 256 {
 		t.Errorf("cap = %d, want the 256-record minimum", cap(b.recs))
@@ -129,7 +129,7 @@ func TestBufferAppendSteadyStateZeroAlloc(t *testing.T) {
 		if b.Len() == 4096 {
 			b.Reset()
 		}
-		b.Append(Record{Time: 1, Kind: KindSend, Seq: 1})
+		b.Append(1, KindSend, 1, 0, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("Append within capacity allocates %.1f objects per op, want 0", allocs)
@@ -145,7 +145,7 @@ func TestBufferAppendAmortizedGrowth(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		b := NewBuffer(1024)
 		for i := 0; i < records; i++ {
-			b.Append(Record{Time: float64(i), Kind: KindSend, Seq: uint64(i)})
+			b.Append(float64(i), KindSend, uint64(i), 0, 0)
 		}
 	})
 	// The Buffer, its first 1024-record array, one array per doubling.
@@ -161,6 +161,6 @@ func BenchmarkTraceAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Append(Record{Time: float64(i), Kind: KindSend, Seq: uint64(i)})
+		buf.Append(float64(i), KindSend, uint64(i), 0, 0)
 	}
 }
