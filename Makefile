@@ -35,7 +35,7 @@ bench:
 # iteration, so they get their own (smaller) fixed iteration counts;
 # benchjson merges each run into the same "current" label without
 # dropping the earlier entries.
-BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStepObsDisabled$$|BenchmarkSimHold$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$|BenchmarkMarkovSolve$$|BenchmarkSendRateFull$$|BenchmarkSendRateApprox$$|BenchmarkSendRateTDOnly$$|BenchmarkInferLossEvents$$
+BENCH_JSON_PATTERN = BenchmarkSimulatedSecond$$|BenchmarkSimStep$$|BenchmarkSimHold$$|BenchmarkLinkSend$$|BenchmarkTimerReset$$|BenchmarkTraceAppend$$|BenchmarkMarkovSolve$$|BenchmarkSendRateFull$$|BenchmarkSendRateApprox$$|BenchmarkSendRateTDOnly$$|BenchmarkInferLossEvents$$
 
 bench-json:
 	$(GO) test -run '^$$' -bench '$(BENCH_JSON_PATTERN)' -benchmem \

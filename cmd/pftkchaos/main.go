@@ -1,10 +1,12 @@
 // Command pftkchaos runs randomized scenario-soak campaigns against the
 // simulator: it samples cases from a distribution spec (see
 // internal/chaos), executes them across a worker pool, checks the
-// global invariants on every run — packet conservation, metric
-// reconciliation, phase attribution, model envelope, byte-exact replay
-// — and, on failure, shrinks the case to a minimal repro in the corpus
-// directory. In -mode http the same cases are fed to a live pftkd and
+// global invariants on every run — packet conservation, sender vs. link
+// and trace vs. sender agreement, phase attribution, model envelope,
+// byte-exact replay — and, on failure, shrinks the case to a minimal
+// repro in the corpus directory. Every invariant sets one record of the
+// run against another; none checks the metric registry, whose values
+// are derived from those same records and never counted twice. In -mode http the same cases are fed to a live pftkd and
 // cross-checked against the in-process oracle; -mode drill runs the
 // kill-and-restart crash-recovery drill against a pftkd binary.
 //

@@ -8,7 +8,6 @@ import (
 
 	"pftk"
 	"pftk/internal/core"
-	"pftk/internal/obs"
 )
 
 // defaultModelErrorFactor is the default model-vs-measured envelope.
@@ -25,7 +24,6 @@ const (
 	InvGenerate     = "generate"          // the generator emitted an invalid case
 	InvPanic        = "panic"             // the run panicked (flight dump in Detail)
 	InvConservation = "conservation"      // per-link packet conservation (suffixed -fwd/-rev)
-	InvObsReconcile = "obs-reconcile"     // obs counters vs. link statistics
 	InvSenderLink   = "sender-link"       // sender transmissions vs. link offered
 	InvGroundTruth  = "ground-truth"      // trace analysis vs. sender counters
 	InvPhaseAttrib  = "phase-attribution" // per-phase sums vs. run totals
@@ -89,7 +87,6 @@ type runData struct {
 	res    pftk.SimResult
 	ls     pftk.PathStats
 	phases []pftk.PhaseStat
-	snap   obs.Snapshot
 }
 
 // execute runs the case once, fully instrumented, converting a panic —
@@ -107,8 +104,8 @@ func execute(c Case) (rd runData, vio *Violation) {
 	}()
 	if c.Flows >= 2 {
 		// Multi-flow case: symmetric flows through one shared
-		// bottleneck. The single-flow instrumentation (obs registry,
-		// link stats, phase attribution) does not apply; the per-flow
+		// bottleneck. The single-flow instrumentation (link stats,
+		// phase attribution) does not apply; the per-flow
 		// bottleneck attribution in FlowResults is the ground truth the
 		// flow invariants check instead.
 		rd.res = pftk.Sim(
@@ -129,7 +126,6 @@ func execute(c Case) (rd runData, vio *Violation) {
 		)
 		return rd, nil
 	}
-	reg := pftk.NewRegistry()
 	rd.res = pftk.Sim(
 		pftk.WithPath(c.RTT),
 		pftk.WithBurstLoss(c.LossRate, c.BurstDur),
@@ -141,11 +137,9 @@ func execute(c Case) (rd runData, vio *Violation) {
 		pftk.WithDelayedACKs(c.AckEvery),
 		pftk.WithScenario(c.Scenario),
 		pftk.WithPhaseStats(&rd.phases),
-		pftk.WithObs(reg),
 		pftk.WithLinkStats(&rd.ls),
 		pftk.WithFlightRecorder(flight),
 	)
-	rd.snap = reg.Snapshot()
 	return rd, nil
 }
 
@@ -201,7 +195,6 @@ func RunCase(c Case, env Envelope) Outcome {
 		checkFlowSanity(&out, c, rd)
 	} else {
 		checkConservation(&out, rd)
-		checkObsReconcile(&out, rd)
 		checkSenderLink(&out, rd)
 		checkGroundTruth(&out, rd)
 		checkPhaseAttribution(&out, c, rd)
@@ -233,33 +226,6 @@ func checkConservation(out *Outcome, rd runData) {
 	}
 	check("fwd", rd.ls.Forward)
 	check("rev", rd.ls.Reverse)
-}
-
-// checkObsReconcile verifies the metric layer against the link's own
-// counters: same run, two bookkeepers, every number equal.
-func checkObsReconcile(out *Outcome, rd runData) {
-	check := func(prefix string, ls pftk.LinkStats) {
-		counters := []struct {
-			name string
-			want int
-		}{
-			{prefix + ".offered", ls.Offered},
-			{prefix + ".delivered", ls.Delivered},
-			{prefix + ".drops.loss", ls.RandomDrops},
-		}
-		for _, c := range counters {
-			if got := rd.snap.Counter(c.name); got != uint64(c.want) {
-				out.violate(InvObsReconcile, "%s = %d, link stats say %d", c.name, got, c.want)
-			}
-		}
-		queueDrops := rd.snap.Counter(prefix+".drops.fifo") + rd.snap.Counter(prefix+".drops.red")
-		if queueDrops != uint64(ls.QueueDrops) {
-			out.violate(InvObsReconcile, "%s fifo+red drops = %d, link stats say %d",
-				prefix, queueDrops, ls.QueueDrops)
-		}
-	}
-	check("netem.fwd", rd.ls.Forward)
-	check("netem.rev", rd.ls.Reverse)
 }
 
 // checkSenderLink verifies that the forward link saw exactly the

@@ -3,11 +3,14 @@
 // scenario programs (phases and fault trains) — from a distribution
 // Spec, executes them in bulk across a worker pool, and checks a set of
 // global invariants on every run: packet conservation per link
-// direction, exact reconciliation between the obs metric counters and
-// the link's own statistics, per-phase attribution telescoping to the
-// run totals, the PFTK model's prediction staying inside a configurable
-// envelope of the measured rate on stationary cases, and byte-exact
-// replay of every case from its seed.
+// direction, the forward link's offered count equal to the sender's
+// transmissions, trace analysis reproducing the sender's counters,
+// per-phase attribution telescoping to the run totals, the PFTK model's
+// prediction staying inside a configurable envelope of the measured rate
+// on stationary cases, and byte-exact replay of every case from its
+// seed. Each invariant compares two different records of the run; a
+// metric registry is not one of them, since its values are read from
+// those records when the run ends.
 //
 // Everything is a pure function of (Spec, Seed): case i is generated
 // from an RNG forked with the label "case.<i>" off a fresh

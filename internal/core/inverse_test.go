@@ -3,7 +3,8 @@ package core
 import (
 	"math"
 	"testing"
-	"testing/quick"
+
+	"pftk/internal/proptest"
 )
 
 func TestLossRateForRoundTrip(t *testing.T) {
@@ -121,7 +122,5 @@ func TestQuickInverseConsistent(t *testing.T) {
 		}
 		return almostEqual(SendRateFull(back, pr), rate, 1e-6)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 200)
 }

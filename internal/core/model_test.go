@@ -3,7 +3,8 @@ package core
 import (
 	"math"
 	"testing"
-	"testing/quick"
+
+	"pftk/internal/proptest"
 )
 
 // literalEW transcribes eq. (13) directly, as a check against the
@@ -564,9 +565,7 @@ func TestQuickSendRateFullPositiveAndFinite(t *testing.T) {
 		r := SendRateFull(p, pr)
 		return r > 0 && !math.IsInf(r, 0) && !math.IsNaN(r)
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 0)
 }
 
 func TestQuickSendRateFullMonotoneInP(t *testing.T) {
@@ -578,9 +577,7 @@ func TestQuickSendRateFullMonotoneInP(t *testing.T) {
 		}
 		return SendRateFull(p1, pr) >= SendRateFull(p2, pr)*(1-1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 500)
 }
 
 func TestQuickSendRateRespectsWindowCeiling(t *testing.T) {
@@ -590,9 +587,7 @@ func TestQuickSendRateRespectsWindowCeiling(t *testing.T) {
 		pr := NewParams(0.25, 2.0, wm)
 		return SendRateFull(p, pr) <= wm/pr.RTT*(1+1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 500)
 }
 
 func TestQuickSendRateDecreasesWithRTT(t *testing.T) {
@@ -604,9 +599,7 @@ func TestQuickSendRateDecreasesWithRTT(t *testing.T) {
 		b2 := SendRateFull(p, NewParams(r2, 2.0, 0))
 		return b1 >= b2*(1-1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 300)
 }
 
 func TestQuickQHatInUnitInterval(t *testing.T) {
@@ -616,9 +609,7 @@ func TestQuickQHatInUnitInterval(t *testing.T) {
 		q := QHat(p, w)
 		return q >= 0 && q <= 1
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 0)
 }
 
 func TestQuickQHatDecreasingInW(t *testing.T) {
@@ -628,9 +619,7 @@ func TestQuickQHatDecreasingInW(t *testing.T) {
 		w2 := w1 + float64(bRaw%20) + 1
 		return QHat(p, w1) >= QHat(p, w2)-1e-12
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 500)
 }
 
 func TestQuickThroughputAtMostSendRate(t *testing.T) {
@@ -639,9 +628,7 @@ func TestQuickThroughputAtMostSendRate(t *testing.T) {
 		pr := NewParams(0.3, 2.5, float64(wmRaw%50)+5)
 		return Throughput(p, pr) <= SendRateFull(p, pr)*(1+1e-9)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 500)
 }
 
 func TestQuickEWDecreasingInP(t *testing.T) {
@@ -652,7 +639,5 @@ func TestQuickEWDecreasingInP(t *testing.T) {
 		}
 		return EW(p1, 2) >= EW(p2, 2)-1e-12
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 0)
 }

@@ -19,7 +19,6 @@ import (
 	"pftk/internal/analysis"
 	"pftk/internal/core"
 	"pftk/internal/hosts"
-	"pftk/internal/netem"
 	"pftk/internal/obs"
 	"pftk/internal/reno"
 	"pftk/internal/sim"
@@ -132,20 +131,17 @@ func RunPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64)
 }
 
 // runPair is RunPair with metric collection on reg (nil disables it):
-// the engine, both link directions and the sender are instrumented, and
-// the returned PairRun carries the registry's final snapshot.
+// the connection's metrics are recorded when the run ends, and the
+// returned PairRun carries the registry's final snapshot.
 func runPair(p hosts.Pair, duration float64, salt uint64, intervalWidth float64, reg *obs.Registry) PairRun {
 	start := time.Now()
 	p = hosts.CalibratedPair(p, hosts.CalibrateOptions{})
 	cfg := p.ConnConfig(salt)
+	cfg.Sender.Metrics = reno.NewMetrics(reg)
 	var eng sim.Engine
-	if reg != nil {
-		cfg.Sender.Metrics = reno.NewMetrics(reg)
-		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(reg, "netem.fwd")
-		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(reg, "netem.rev")
-		eng.SetHooks(sim.NewMetricHooks(reg))
-	}
-	res := reno.NewConnection(&eng, cfg).Run(duration)
+	conn := reno.NewConnection(&eng, cfg)
+	res := conn.Run(duration)
+	conn.RecordMetrics(reg)
 	events := analysis.InferLossEvents(res.Trace, p.SenderVariant().DupThreshold)
 	pr := PairRun{
 		Pair:      p,

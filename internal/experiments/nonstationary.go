@@ -144,13 +144,8 @@ func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width
 		Receiver: reno.ReceiverConfig{AckEvery: 2},
 		Path:     netem.SymmetricPath(cs.RTT/2, loss),
 	}
+	cfg.Sender.Metrics = reno.NewMetrics(reg)
 	var eng sim.Engine
-	if reg != nil {
-		cfg.Sender.Metrics = reno.NewMetrics(reg)
-		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(reg, "netem.fwd")
-		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(reg, "netem.rev")
-		eng.SetHooks(sim.NewMetricHooks(reg))
-	}
 	conn := reno.NewConnection(&eng, cfg)
 	runner := scenario.Bind(&eng, conn.Path, scenario.Config{
 		Scenario: cs.Scenario,
@@ -160,6 +155,7 @@ func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width
 		Registry: reg,
 	})
 	res := conn.Run(duration)
+	conn.RecordMetrics(reg)
 	events := analysis.InferLossEvents(res.Trace, 3)
 	nr := NonstationaryRun{
 		Case:      cs,

@@ -42,7 +42,7 @@ func TestRunPairObservedReconciles(t *testing.T) {
 		t.Errorf("forward delivered(%d) + dropped(%d) != offered(%d)", got, fwdLost, st.TotalSent())
 	}
 	if snap.Counter("sim.events") == 0 {
-		t.Error("engine hook never fired")
+		t.Error("no engine events recorded")
 	}
 	if run.WallSeconds <= 0 {
 		t.Errorf("WallSeconds = %g, want > 0", run.WallSeconds)

@@ -48,11 +48,12 @@ var mutations = []mutation{
 	{"guardedby", "internal/serve/cache.go",
 		"\ts.mu.Lock()\n\tn := len(s.items)\n\ts.mu.Unlock()\n\treturn n\n",
 		"\treturn len(s.items)\n"},
-	// /v1/predict renames its "rates" member to "Rates" on the wire; the
-	// tests and perfbench decode into the same Go struct.
-	{"jsontag", "internal/serve/predict.go",
-		"\tRates   map[string]float64 `json:\"rates\"`\n",
-		"\tRates   map[string]float64\n"},
+	// pftkchaos reports renames a case's "error_factor" member to
+	// "ErrorFactor"; chaos-smoke compares reports of one build with each
+	// other, and the tests read the Go field.
+	{"jsontag", "internal/chaos/run.go",
+		"\tErrorFactor float64 `json:\"error_factor,omitempty\"`\n",
+		"\tErrorFactor float64\n"},
 	// A predict batch that fails evaluation never commits its eval span,
 	// so the failing request is missing from /debug/tracez.
 	{"spanend", "internal/serve/serve.go",

@@ -2,9 +2,9 @@ package netem
 
 import (
 	"testing"
-	"testing/quick"
 
 	"pftk/internal/pkt"
+	"pftk/internal/proptest"
 	"pftk/internal/sim"
 )
 
@@ -44,9 +44,7 @@ func TestQuickFIFOUnderJitter(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 60)
 }
 
 // TestQuickFIFOThroughQueue extends the property to rate-limited queued
@@ -80,9 +78,7 @@ func TestQuickFIFOThroughQueue(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 60)
 }
 
 // TestConstantDelayStepDown: packets on a constant delay ride the

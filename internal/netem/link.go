@@ -111,9 +111,6 @@ type LinkConfig struct {
 	Delay DelayProcess
 	// Loss drops packets before they enter the queue; nil means no loss.
 	Loss LossModel
-	// Metrics holds optional observability handles; the zero value
-	// disables collection (see LinkMetrics).
-	Metrics LinkMetrics
 }
 
 // Link is one unidirectional emulated link: loss model, then a finite-rate
@@ -277,7 +274,6 @@ func (l *Link) Send(payload pkt.Packet, deliver func(pkt.Packet)) {
 		panic("netem: nil deliver callback")
 	}
 	l.stats.Offered++
-	l.cfg.Metrics.Offered.Inc()
 	fs := l.flowEntry(payload)
 	if fs != nil {
 		fs.Offered++
@@ -288,7 +284,6 @@ func (l *Link) Send(payload pkt.Packet, deliver func(pkt.Packet)) {
 		if fs != nil {
 			fs.RandomDrops++
 		}
-		l.cfg.Metrics.LossDrops.Inc()
 		if f := l.eng.FlightRecorder(); f != nil {
 			f.Note(sim.FlightDrop, now, now, 0, "loss")
 		}
@@ -312,7 +307,6 @@ func (l *Link) admit(payload pkt.Packet, deliver func(pkt.Packet)) {
 			if fs := l.flowEntry(payload); fs != nil {
 				fs.QueueDrops++
 			}
-			l.cfg.Metrics.FIFODrops.Inc()
 			if f := l.eng.FlightRecorder(); f != nil {
 				f.Note(sim.FlightDrop, l.eng.Now(), l.eng.Now(), 0, "fifo")
 			}
@@ -322,7 +316,6 @@ func (l *Link) admit(payload pkt.Packet, deliver func(pkt.Packet)) {
 		if l.queue.n > l.stats.MaxQueue {
 			l.stats.MaxQueue = l.queue.n
 		}
-		l.cfg.Metrics.Queue.Set(float64(l.queue.n))
 		return
 	}
 	if l.cfg.Rate <= 0 {
@@ -343,7 +336,6 @@ func (l *Link) serve(payload pkt.Packet, deliver func(pkt.Packet)) {
 		for l.queue.n > 0 {
 			l.propagate(l.queue.pop())
 		}
-		l.cfg.Metrics.Queue.Set(0)
 		return
 	}
 	l.busy = true
@@ -364,7 +356,6 @@ func (l *Link) onTxDone() {
 	l.propagate(payload, deliver)
 	if l.queue.n > 0 {
 		payload, deliver = l.queue.pop()
-		l.cfg.Metrics.Queue.Set(float64(l.queue.n))
 		l.serve(payload, deliver)
 	} else {
 		l.busy = false
@@ -404,7 +395,6 @@ func (l *Link) propagate(payload pkt.Packet, deliver func(pkt.Packet)) {
 	if fs := l.flowEntry(payload); fs != nil {
 		fs.Delivered++
 	}
-	l.cfg.Metrics.Delivered.Inc()
 	switch {
 	case l.lane != nil && !clamped:
 		l.lane.SchedulePacket(deliver, payload)

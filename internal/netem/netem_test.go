@@ -3,9 +3,9 @@ package netem
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"pftk/internal/pkt"
+	"pftk/internal/proptest"
 	"pftk/internal/sim"
 )
 
@@ -339,9 +339,7 @@ func TestQuickLinkConservation(t *testing.T) {
 			st.Delivered == delivered &&
 			st.Offered == st.Delivered+st.RandomDrops+st.QueueDrops
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 200)
 }
 
 func TestLinkNilDeliverPanics(t *testing.T) {

@@ -115,8 +115,6 @@ func (l *REDQueueLink) Send(payload pkt.Packet, deliver func(pkt.Packet)) {
 			fs.Offered++
 			fs.RandomDrops++
 		}
-		l.cfg.Metrics.Offered.Inc()
-		l.cfg.Metrics.REDDrops.Inc()
 		return
 	}
 	l.Link.Send(payload, deliver)

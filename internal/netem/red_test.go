@@ -131,6 +131,33 @@ func TestREDLinkDropsUnderLoad(t *testing.T) {
 	}
 }
 
+// TestREDDropsAttributed checks that RED early drops count as offered
+// and as random drops in LinkStats, never as drop-tail overflow.
+func TestREDDropsAttributed(t *testing.T) {
+	var eng sim.Engine
+	l := NewREDLink(&eng, LinkConfig{Rate: 5, QueueCap: 8}, sim.NewRNG(7))
+	delivered := 0
+	for i := 0; i < 400; i++ {
+		l.Send(pk(i), func(pkt.Packet) { delivered++ })
+	}
+	eng.Run()
+	if l.REDDrops() == 0 {
+		t.Fatal("test should exercise RED drops")
+	}
+	st := l.Stats()
+	// No loss model: every random drop is a RED decision.
+	if st.RandomDrops != l.REDDrops() {
+		t.Errorf("stats random drops = %d, REDDrops() = %d", st.RandomDrops, l.REDDrops())
+	}
+	if st.Offered != 400 {
+		t.Errorf("stats offered = %d, want 400 (RED drops are offered packets)", st.Offered)
+	}
+	if got := st.RandomDrops + st.QueueDrops + delivered; got != st.Offered {
+		t.Errorf("drops %d+%d plus deliveries %d = %d, offered %d",
+			st.RandomDrops, st.QueueDrops, delivered, got, st.Offered)
+	}
+}
+
 func TestREDLinkIdleNoDrops(t *testing.T) {
 	var eng sim.Engine
 	l := NewREDLink(&eng, LinkConfig{Rate: 100, QueueCap: 20}, sim.NewRNG(6))

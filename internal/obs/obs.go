@@ -4,15 +4,16 @@
 // structured JSONL metric export, and an optional expvar/pprof debug
 // server for profiling long campaigns.
 //
-// The design goal is that the simulation hot paths (sim.Step, netem
-// enqueue/drop, reno ACK processing) pay nothing when observability is
-// off. Every metric type is used through a pointer handle, and a nil
-// handle is a valid no-op: constructors on a nil *Registry return nil, so
-// components hold and update handles unconditionally and the disabled
-// path costs one nil check per update — zero allocations, no branches on
-// a separate "enabled" flag. internal/sim's
-// TestStepDisabledMetricsZeroAlloc and BenchmarkSimStepObsDisabled guard
-// this property.
+// A metric with a struct or trace counterpart is derived, never counted
+// twice: the simulator's engine, links and sender keep their own
+// counters, and reno.Connection.RecordMetrics reads a run's metrics from
+// them when it ends, so the packet path makes no metric calls. Every
+// metric type is used through a pointer handle, and a nil handle is a
+// valid no-op: constructors on a nil *Registry return nil, so the few
+// live handles (the sender's cwnd histogram and timer-cancel counter)
+// are updated unconditionally and the disabled path costs one nil check
+// per update — zero allocations, no branches on a separate "enabled"
+// flag.
 //
 // All metric types are safe for concurrent use (atomics for updates, a
 // mutex for registration), so a future sharded campaign runner can share

@@ -23,6 +23,8 @@ type Connection struct {
 	Path     *netem.Path
 	Sender   *Sender
 	Receiver *Receiver
+
+	endPending int // engine events pending when the run stopped, before the sender's Stop
 }
 
 // NewConnection constructs the sender, receiver and both link directions
@@ -92,6 +94,7 @@ func (c *Connection) Run(duration float64) Result {
 	c.Sender.SetTraceStop(start + duration)
 	c.Sender.Start()
 	c.Eng.RunUntil(start + duration)
+	c.endPending = c.Eng.Pending()
 	c.Sender.Stop()
 	return Result{
 		Duration:  duration,
@@ -129,6 +132,7 @@ func (c *Connection) RunUntilComplete(deadline float64) (Result, float64) {
 	if !c.Sender.Complete() {
 		c.Eng.RunUntil(deadline) // fires nothing: only advances the clock
 	}
+	c.endPending = c.Eng.Pending()
 	c.Sender.Stop()
 	return Result{
 		Duration:  c.Eng.Now(),

@@ -3,9 +3,9 @@ package reno
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"pftk/internal/netem"
+	"pftk/internal/proptest"
 	"pftk/internal/sim"
 	"pftk/internal/trace"
 )
@@ -66,9 +66,7 @@ func TestQuickProtocolInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 60)
 }
 
 // TestQuickEventuallyDeliversUnderAnyScriptedLoss drops arbitrary (finite)
@@ -101,9 +99,7 @@ func TestQuickEventuallyDeliversUnderAnyScriptedLoss(t *testing.T) {
 		}
 		return c.Receiver.Delivered() == 150
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 40)
 }
 
 // TestAckPathLoss injects heavy loss on the *reverse* path: cumulative

@@ -38,8 +38,8 @@ type SenderConfig struct {
 	// them per flow; ACKs stamped with a different flow ID are ignored.
 	// Single-flow runs leave it 0.
 	FlowID int32
-	// Metrics holds optional observability handles; the zero value
-	// disables collection (see Metrics).
+	// Metrics holds the live observability handles; the zero value
+	// disables collection (see Metrics and Connection.RecordMetrics).
 	Metrics Metrics
 }
 
@@ -341,13 +341,6 @@ func (s *Sender) onTimeout() {
 		idx = len(s.stats.TimeoutsByBackoff) - 1
 	}
 	s.stats.TimeoutsByBackoff[idx]++
-	s.cfg.Metrics.TimeoutFires.Inc()
-	s.cfg.Metrics.Backoff.Observe(float64(s.backoffExp))
-	if s.backoffExp == 0 {
-		// Depth-0 fires open a new timeout sequence — the unit Table II
-		// counts as one loss indication.
-		s.cfg.Metrics.TimeoutSeqs.Inc()
-	}
 	s.log(trace.KindTimeoutFired, 0, 0, float64(s.backoffExp))
 
 	s.ssthresh = math.Max(float64(s.InFlight())/2, 2)
@@ -392,7 +385,6 @@ func (s *Sender) OnAck(p pkt.Packet) {
 	}
 	ack := p.Seq
 	s.stats.AcksReceived++
-	s.cfg.Metrics.Acks.Inc()
 	s.log(trace.KindAck, 0, ack, 0)
 	switch {
 	case ack > s.una:
@@ -410,7 +402,6 @@ func (s *Sender) onNewAck(ack uint64) {
 			sample := s.eng.Now() - s.timedAt
 			s.est.Sample(sample)
 			s.stats.RTTSamples++
-			s.cfg.Metrics.RTT.Observe(sample)
 			s.log(trace.KindRoundSample, uint64(s.timedFlight), 0, sample)
 		}
 		s.timing = false
@@ -464,7 +455,6 @@ func (s *Sender) onDupAck() {
 	}
 	// Fast retransmit: a TD loss indication.
 	s.stats.TDEvents++
-	s.cfg.Metrics.IndicationsTD.Inc()
 	s.log(trace.KindTDIndication, s.una, 0, 0)
 	s.ssthresh = math.Max(float64(s.InFlight())/2, 2)
 	s.retransmit(s.una, false)

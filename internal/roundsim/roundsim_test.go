@@ -3,9 +3,9 @@ package roundsim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"pftk/internal/core"
+	"pftk/internal/proptest"
 )
 
 func run(t *testing.T, cfg Config, tdps int) Stats {
@@ -190,9 +190,7 @@ func TestQuickSendRateMonotoneInP(t *testing.T) {
 		// Allow 10% statistical slack.
 		return r1 >= r2*0.9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 25)
 }
 
 func run2(p float64) float64 {
@@ -229,7 +227,5 @@ func TestQuickStatsAlwaysCoherent(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 40)
 }

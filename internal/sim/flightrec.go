@@ -88,20 +88,22 @@ func NewFlightRecorder(k int) *FlightRecorder {
 
 // Note appends one entry, overwriting the oldest once the ring is
 // full. Nil-safe: a nil recorder ignores the call, so engine call
-// sites pay one pointer check when recording is off.
+// sites pay one pointer check when recording is off. The fields are
+// stored one by one into the ring slot, so they go from the caller's
+// registers to the ring without a FlightEvent built and block-copied on
+// the stack.
 //
 //pftk:hotpath
 func (f *FlightRecorder) Note(kind FlightKind, now, at float64, seq uint64, label string) {
 	if f == nil {
 		return
 	}
-	ev := FlightEvent{Kind: kind, Now: now, At: at, Seq: seq, Label: label}
 	if len(f.ring) < cap(f.ring) {
-		//pftklint:ignore hotalloc the ring's capacity is preallocated by NewFlightRecorder; this append never grows it
-		f.ring = append(f.ring, ev)
-	} else {
-		f.ring[f.next] = ev
+		// Still filling: next is the first unused slot.
+		f.ring = f.ring[:len(f.ring)+1]
 	}
+	ev := &f.ring[f.next]
+	ev.Kind, ev.Now, ev.At, ev.Seq, ev.Label = kind, now, at, seq, label
 	f.next++
 	if f.next == cap(f.ring) {
 		f.next = 0

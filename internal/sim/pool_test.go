@@ -80,13 +80,13 @@ func TestTimerStopAfterFireCancelsNothing(t *testing.T) {
 	tm := e.NewTimer(nop)
 	tm.Reset(1)
 	e.Run()
-	_, _, cancelled, _ := hookCounts(&e)
+	cancelled := e.Cancels()
 	other := e.Schedule(5, nop)
 	if tm.Stop() {
 		t.Error("Stop on a fired timer reported a cancel")
 	}
-	if *cancelled != 0 || e.Pending() != 1 {
-		t.Errorf("Stop on a fired timer: %d cancels, %d pending, want 0 and 1", *cancelled, e.Pending())
+	if n := e.Cancels() - cancelled; n != 0 || e.Pending() != 1 {
+		t.Errorf("Stop on a fired timer: %d cancels, %d pending, want 0 and 1", n, e.Pending())
 	}
 	if !e.Scheduled(other) {
 		t.Error("Stop on a fired timer cancelled an unrelated event")
@@ -182,7 +182,6 @@ func TestTimerResetStopSteadyStateZeroAlloc(t *testing.T) {
 // deadline between the stale key and the real deadline fires nothing.
 func TestTimerLazyRekeyFiresAtDeadline(t *testing.T) {
 	var e Engine
-	fired, _, _, _ := hookCounts(&e)
 	var at []float64
 	tm := e.NewTimer(func() { at = append(at, e.Now()) })
 	idle := e.NewTimer(func() { t.Error("stopped timer fired") })
@@ -193,12 +192,12 @@ func TestTimerLazyRekeyFiresAtDeadline(t *testing.T) {
 	if e.StepUntil(2) {
 		t.Fatal("StepUntil(2) fired the timer rearmed for 3")
 	}
-	if e.Now() != 0 || *fired != 0 || e.Pending() != 1 {
-		t.Fatalf("after StepUntil(2): clock %g, %d fired, %d pending, want 0, 0, 1", e.Now(), *fired, e.Pending())
+	if e.Now() != 0 || e.Fired() != 0 || e.Pending() != 1 {
+		t.Fatalf("after StepUntil(2): clock %g, %d fired, %d pending, want 0, 0, 1", e.Now(), e.Fired(), e.Pending())
 	}
 	e.Run()
-	if len(at) != 1 || at[0] != 3 || *fired != 1 {
-		t.Errorf("timer fired at %v (%d events), want [3] once", at, *fired)
+	if len(at) != 1 || at[0] != 3 || e.Fired() != 1 {
+		t.Errorf("timer fired at %v (%d events), want [3] once", at, e.Fired())
 	}
 }
 

@@ -4,7 +4,8 @@ import (
 	"math"
 	"sort"
 	"testing"
-	"testing/quick"
+
+	"pftk/internal/proptest"
 )
 
 func TestEngineFiresInTimeOrder(t *testing.T) {
@@ -234,9 +235,7 @@ func TestQuickEngineOrdersArbitrarySchedules(t *testing.T) {
 		e.Run()
 		return sort.Float64sAreSorted(order) && len(order) == len(raw)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 100)
 }
 
 func TestRNGDeterministic(t *testing.T) {

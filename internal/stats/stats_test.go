@@ -3,7 +3,8 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
+
+	"pftk/internal/proptest"
 )
 
 func feq(a, b, eps float64) bool {
@@ -85,9 +86,7 @@ func TestQuickRunningMatchesBatch(t *testing.T) {
 		return feq(r.Mean(), Mean(xs), 1e-6*scale) &&
 			feq(r.Std(), Std(xs), 1e-6*math.Max(1, r.Std()))
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 200)
 }
 
 func TestCorrelation(t *testing.T) {

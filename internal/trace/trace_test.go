@@ -6,7 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"pftk/internal/proptest"
 )
 
 func sampleTrace() Trace {
@@ -275,9 +276,7 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
+	proptest.Check(t, f, 100)
 }
 
 func TestFilter(t *testing.T) {

@@ -36,38 +36,22 @@ func TestWithObsDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// TestWithObsAndLinkStatsReconcile pins that the three measurement
-// layers agree on the same run: obs counters mirror the link's own
-// counters exactly, and the link's forward-direction offered count is
-// the sender's total transmissions.
-func TestWithObsAndLinkStatsReconcile(t *testing.T) {
-	reg := pftk.NewRegistry()
+// TestWithLinkStatsMatchesSender pins that the link and the sender,
+// two separate records of the same run, agree: the forward link was
+// offered exactly the sender's transmissions.
+func TestWithLinkStatsMatchesSender(t *testing.T) {
 	var ls pftk.PathStats
 	res := pftk.Sim(
 		pftk.WithPath(0.1),
 		pftk.WithLoss(0.05),
 		pftk.WithDuration(60),
 		pftk.WithSeed(11),
-		pftk.WithObs(reg),
 		pftk.WithLinkStats(&ls),
 	)
-	snap := reg.Snapshot()
-	if got, want := snap.Counter("netem.fwd.offered"), uint64(ls.Forward.Offered); got != want {
-		t.Errorf("netem.fwd.offered = %d, link stats say %d", got, want)
-	}
-	if got, want := snap.Counter("netem.fwd.drops.loss"), uint64(ls.Forward.RandomDrops); got != want {
-		t.Errorf("netem.fwd.drops.loss = %d, link stats say %d", got, want)
-	}
-	if got, want := snap.Counter("netem.rev.offered"), uint64(ls.Reverse.Offered); got != want {
-		t.Errorf("netem.rev.offered = %d, link stats say %d", got, want)
-	}
 	if got, want := ls.Forward.Offered, res.Stats.TotalSent(); got != want {
 		t.Errorf("forward link offered %d packets, sender sent %d", got, want)
 	}
 	if ls.Forward.RandomDrops == 0 {
 		t.Error("5% loss over 60s produced no random drops")
-	}
-	if snap.Counter("sim.events") == 0 {
-		t.Error("engine hooks recorded no events")
 	}
 }

@@ -22,7 +22,8 @@ type LinkStats = netem.LinkStats
 // PathStats snapshots both directions of the emulated path after a run:
 // Forward carries data packets, Reverse carries ACKs. Populated via
 // WithLinkStats; the counters are the ground truth that packet-
-// conservation checks reconcile against trace- and metric-level counts.
+// conservation checks reconcile against the sender's counters and trace,
+// and the source of the netem.* metrics WithObs records.
 type PathStats struct {
 	Forward LinkStats
 	Reverse LinkStats
@@ -122,14 +123,17 @@ func WithFlightRecorder(f *FlightRecorder) SimOption {
 	return func(c *SimConfig) { c.flight = f }
 }
 
-// WithObs instruments the run with metric collection on reg: the engine
-// (events, queue depth, cancels), both link directions (netem.fwd.* /
-// netem.rev.* offered/delivered/drop counters), the sender (cwnd/RTT
-// histograms, loss-indication counters) and, when a scenario is bound,
-// the scenario runner (transitions, fault windows, per-phase
-// attribution). Observation never perturbs the simulation: metric hooks
-// draw no randomness, so a run with and without a registry produces
-// byte-identical traces. A nil registry disables collection.
+// WithObs collects the run's metrics on reg: the engine (events, queue
+// depth, cancels), both link directions (netem.fwd.* / netem.rev.*
+// offered/delivered/drop counters), the sender (cwnd/RTT histograms,
+// loss-indication counters) and, when a scenario is bound, the scenario
+// runner (transitions, fault windows, per-phase attribution). Values
+// with a counterpart in the engine, link or sender counters or the
+// trace are written from it when the run ends, not counted during the
+// run; only the cwnd histogram, the sender's timer cancels and the
+// scenario runner's metrics are updated live. Observation never
+// perturbs the simulation, so a run with and without a registry
+// produces byte-identical traces. A nil registry disables collection.
 func WithObs(reg *Registry) SimOption {
 	return func(c *SimConfig) { c.registry = reg }
 }
@@ -137,7 +141,7 @@ func WithObs(reg *Registry) SimOption {
 // WithLinkStats directs both directions' final link counters into dst
 // after the run completes — the packet-conservation ground truth
 // (offered = delivered + drops + still-in-flight) that invariant
-// checkers reconcile against the sender's trace and the obs counters.
+// checkers reconcile against the sender's counters and trace.
 func WithLinkStats(dst *PathStats) SimOption {
 	return func(c *SimConfig) { c.linkStats = dst }
 }

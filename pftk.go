@@ -234,8 +234,9 @@ type SimConfig struct {
 	// engine so the last schedule/fire/cancel/drop operations are
 	// retained for a post-mortem dump.
 	flight *FlightRecorder
-	// registry, when set via WithObs, instruments the engine, both link
-	// directions, the sender and (when present) the scenario runner.
+	// registry, when set via WithObs, receives the run's metrics: the
+	// sender's live handles and the scenario runner's during the run,
+	// the rest from the connection's counters when it ends.
 	registry *obs.Registry
 	// linkStats, when set via WithLinkStats, receives both directions'
 	// final link counters after the run.
@@ -297,14 +298,9 @@ func buildConn(c *SimConfig, horizon float64) (*reno.Connection, *scenario.Runne
 		Receiver: reno.ReceiverConfig{AckEvery: c.AckEvery},
 		Path:     netem.SymmetricPath(c.RTT/2, loss),
 	}
+	cfg.Sender.Metrics = reno.NewMetrics(c.registry)
 	eng := new(sim.Engine)
 	eng.SetFlightRecorder(c.flight)
-	if c.registry != nil {
-		cfg.Sender.Metrics = reno.NewMetrics(c.registry)
-		cfg.Path.Forward.Metrics = netem.NewLinkMetrics(c.registry, "netem.fwd")
-		cfg.Path.Reverse.Metrics = netem.NewLinkMetrics(c.registry, "netem.rev")
-		eng.SetHooks(sim.NewMetricHooks(c.registry))
-	}
 	conn := reno.NewConnection(eng, cfg)
 	var runner *scenario.Runner
 	if c.Scenario != nil {
@@ -356,6 +352,7 @@ func runSim(c SimConfig) SimResult {
 	}
 	conn, runner := buildConn(&c, c.Duration)
 	res := conn.Run(c.Duration)
+	conn.RecordMetrics(c.registry)
 	if runner != nil && c.phaseStats != nil {
 		*c.phaseStats = runner.Finish()
 	}
@@ -373,6 +370,7 @@ func runTransferSim(c SimConfig) SimResult {
 	deadline := c.transferDeadline
 	conn, _ := buildConn(&c, deadline)
 	res, done := conn.RunUntilComplete(deadline)
+	conn.RecordMetrics(c.registry)
 	out := SimResult{Result: res, TransferTime: done}
 	out.TransferComplete = done < deadline
 	if c.linkStats != nil {
