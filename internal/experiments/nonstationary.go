@@ -156,6 +156,7 @@ func runNonstationary(cs NonstationaryCase, duration float64, salt uint64, width
 	})
 	res := conn.Run(duration)
 	conn.RecordMetrics(reg)
+	runner.RecordMetrics()
 	events := analysis.InferLossEvents(res.Trace, 3)
 	nr := NonstationaryRun{
 		Case:      cs,

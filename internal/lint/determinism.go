@@ -25,12 +25,14 @@ import (
 //     only collects keys for sorting) is recognized and allowed.
 //
 // Scope: every function in the simulation packages (internal/sim,
-// internal/netem, internal/reno, internal/multiflow, internal/scenario)
-// and the chaos generator/campaign package (internal/chaos, whose
-// replayability contract is the same — a campaign must be
-// reconstructable from (spec, seed); its HTTP subpackage
-// internal/chaos/chaoshttp deliberately stays outside the scope because
-// it drives real daemons with real clocks).
+// internal/netem, internal/reno, internal/multiflow, internal/scenario),
+// the trace capture they write to (internal/trace, whose spool runs the
+// scope's one goroutine, under an ignore directive that says why it
+// cannot reorder a trace) and the chaos generator/campaign package
+// (internal/chaos, whose replayability contract is the same — a
+// campaign must be reconstructable from (spec, seed); its HTTP
+// subpackage internal/chaos/chaoshttp deliberately stays outside the
+// scope because it drives real daemons with real clocks).
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc:  "flags wall-clock, global math/rand, goroutines and unordered map iteration in deterministic scope",
@@ -45,6 +47,7 @@ var deterministicPkgSuffixes = []string{
 	"internal/reno",
 	"internal/multiflow",
 	"internal/scenario",
+	"internal/trace",
 	"internal/chaos",
 }
 

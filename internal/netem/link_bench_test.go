@@ -79,3 +79,45 @@ func TestLinkSendZeroAllocWhileQueueing(t *testing.T) {
 		t.Errorf("queued Send allocates %.1f objects per burst, want 0", allocs)
 	}
 }
+
+// reorderLast and reorderSeen let reorderDeliver count deliveries that
+// overtake a later-sent packet without capturing test state.
+var reorderLast, reorderSeen uint64
+
+func reorderDeliver(p pkt.Packet) {
+	if p.Seq < reorderLast {
+		reorderSeen++
+	}
+	reorderLast = p.Seq
+}
+
+// TestLinkSendZeroAllocWhileReordering covers propagate's third branch:
+// inside a reordering window a jittered delay schedules each delivery
+// on the engine's heap (SchedulePacket), which must recycle arena slots
+// rather than allocate a closure per packet.
+func TestLinkSendZeroAllocWhileReordering(t *testing.T) {
+	var eng sim.Engine
+	l := NewLink(&eng, LinkConfig{
+		Rate:     1e6,
+		QueueCap: 64,
+		Delay:    &UniformJitterDelay{Base: 0.001, Jitter: 0.01, RNG: sim.NewRNG(1)},
+	})
+	l.SetReorder(true)
+	payload := pkt.Packet{}
+	burst := func() {
+		for i := 0; i < 4; i++ {
+			payload.Seq++
+			l.Send(payload, reorderDeliver)
+		}
+		eng.Run()
+	}
+	for i := 0; i < 64; i++ {
+		burst()
+	}
+	if reorderSeen == 0 {
+		t.Fatal("no delivery overtook another: the reordering branch did not run")
+	}
+	if allocs := testing.AllocsPerRun(500, burst); allocs != 0 {
+		t.Errorf("reordered Send allocates %.1f objects per burst, want 0", allocs)
+	}
+}

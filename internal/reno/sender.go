@@ -184,6 +184,11 @@ func (s *Sender) Stop() {
 // instead of doubling.
 func (s *Sender) SetTraceStop(t float64) { s.trace.SetStop(t) }
 
+// SpoolTrace hands the sender's later trace appends to sp, whose
+// consumer goroutine stores them (see trace.Spool); Trace drains sp
+// first. sp's producer side is the engine goroutine.
+func (s *Sender) SpoolTrace(sp *trace.Spool) { sp.Attach(s.trace) }
+
 // Stats returns the ground-truth counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
 

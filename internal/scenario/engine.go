@@ -145,12 +145,9 @@ type Runner struct {
 	faultsOff    uint64
 	activeFaults int
 
-	reg          *obs.Registry
-	mTransitions *obs.Counter
-	mFaultStart  *obs.Counter
-	mFaultEnd    *obs.Counter
-	gActive      *obs.Gauge
-	gPhase       *obs.Gauge
+	reg     *obs.Registry
+	gActive *obs.Gauge
+	gPhase  *obs.Gauge
 }
 
 // phaseMark snapshots the data link at the moment a segment begins.
@@ -190,12 +187,9 @@ func Bind(eng *sim.Engine, pc netem.PathController, cfg Config) *Runner {
 		curQueue: cfg.Base.QueueCap,
 		dupRNG:   cfg.RNG.Fork("fault.duplicate"),
 
-		reg:          reg,
-		mTransitions: reg.Counter("scenario.transitions"),
-		mFaultStart:  reg.Counter("scenario.faults.started"),
-		mFaultEnd:    reg.Counter("scenario.faults.ended"),
-		gActive:      reg.Gauge("scenario.faults.active"),
-		gPhase:       reg.Gauge("scenario.phase"),
+		reg:     reg,
+		gActive: reg.Gauge("scenario.faults.active"),
+		gPhase:  reg.Gauge("scenario.phase"),
 	}
 	r.overlay = &overlayLoss{base: cfg.Base.Loss, rng: cfg.RNG.Fork("fault.loss")}
 	r.fwd = &adjDelay{oneWay: cfg.Base.RTT / 2, rng: cfg.RNG.Fork("fault.jitter")}
@@ -254,7 +248,6 @@ func (r *Runner) applyPhase(i int) {
 		r.pc.SetBottleneck(r.curRate, r.curQueue)
 	}
 	r.transitions++
-	r.mTransitions.Inc()
 	r.gPhase.Set(float64(i + 1))
 	r.mark(i)
 }
@@ -309,11 +302,9 @@ func (r *Runner) applyFault(f Fault, on bool) {
 	if on {
 		r.activeFaults++
 		r.faultsOn++
-		r.mFaultStart.Inc()
 	} else {
 		r.activeFaults--
 		r.faultsOff++
-		r.mFaultEnd.Inc()
 	}
 	r.gActive.Set(float64(r.activeFaults))
 
@@ -403,6 +394,17 @@ func (r *Runner) FaultsStarted() uint64 { return r.faultsOn }
 
 // ActiveFaults returns the number of currently open fault occurrences.
 func (r *Runner) ActiveFaults() int { return r.activeFaults }
+
+// RecordMetrics writes the transition and fault counts to the registry
+// Bind was given, as scenario.transitions, scenario.faults.started and
+// scenario.faults.ended; without a registry it does nothing. The counts
+// are kept once, in the runner: call it once, after the simulation has
+// run.
+func (r *Runner) RecordMetrics() {
+	r.reg.Counter("scenario.transitions").Add(r.transitions)
+	r.reg.Counter("scenario.faults.started").Add(r.faultsOn)
+	r.reg.Counter("scenario.faults.ended").Add(r.faultsOff)
+}
 
 // Finish closes the last attribution segment at the engine's current
 // time and returns the per-phase statistics. When a registry was

@@ -104,6 +104,7 @@ func TestOutageFaultWindow(t *testing.T) {
 	if r.FaultsStarted() != 1 {
 		t.Errorf("FaultsStarted() = %d, want 1", r.FaultsStarted())
 	}
+	r.RecordMetrics()
 	snap := reg.Snapshot()
 	if c := snap.Counters["scenario.faults.started"]; c != 1 {
 		t.Errorf("scenario.faults.started = %d, want 1", c)

@@ -14,9 +14,18 @@ import "math"
 // one-hour trace reaches its final size in one or two steps instead of a
 // long series of doublings, each of which allocates, zeroes and copies
 // the whole trace again. Without a usable stop time it doubles.
+//
+// A buffer attached to a Spool hands its appends to the spool's consumer
+// goroutine instead; its readers drain the spool first (see Spool).
 type Buffer struct {
 	recs Trace
 	stop float64 // capture end time; growth doubles unless stop is finite and ahead
+
+	// spool, once set by Spool.Attach, receives every Append, and the
+	// records live in spool.sinks[sink]; recs stays nil, so Append
+	// always takes its full-buffer branch.
+	spool *Spool
+	sink  uint32
 }
 
 // NewBuffer returns a buffer pre-grown to hold capacity records without
@@ -33,7 +42,7 @@ func NewBuffer(capacity int) *Buffer {
 // SetStop tells the buffer that capture ends at time t (the timebase of
 // Record.Time), so growth can be sized from the record rate. A zero, past,
 // NaN or infinite t leaves growth at plain doubling.
-func (b *Buffer) SetStop(t float64) { b.stop = t }
+func (b *Buffer) SetStop(t float64) { b.held().stop = t }
 
 // Append adds the record {t, k, seq, ack, val} at the tail, growing the
 // buffer only when full. It takes the fields rather than a Record and
@@ -45,6 +54,10 @@ func (b *Buffer) SetStop(t float64) { b.stop = t }
 func (b *Buffer) Append(t float64, k Kind, seq, ack uint64, val float64) {
 	n := len(b.recs)
 	if n == cap(b.recs) {
+		if b.spool != nil {
+			b.spool.add(b.sink, t, k, seq, ack, val)
+			return
+		}
 		b.grow(t)
 	}
 	b.recs = b.recs[:n+1]
@@ -97,12 +110,25 @@ func (b *Buffer) projectedCap(now float64) (int, bool) {
 	return int(want), true
 }
 
+// held returns the buffer that holds b's records: b itself, or, for a
+// spooled buffer, its sink once the spool has been drained.
+func (b *Buffer) held() *Buffer {
+	if b.spool == nil {
+		return b
+	}
+	b.spool.Drain()
+	return b.spool.sinks[b.sink]
+}
+
 // Len returns the number of buffered records.
-func (b *Buffer) Len() int { return len(b.recs) }
+func (b *Buffer) Len() int { return len(b.held().recs) }
 
 // Records returns the buffered records as a Trace. The slice is owned by
 // the buffer — copy before mutating or before the next Append.
-func (b *Buffer) Records() Trace { return b.recs }
+func (b *Buffer) Records() Trace { return b.held().recs }
 
 // Reset empties the buffer, keeping its capacity and stop time for reuse.
-func (b *Buffer) Reset() { b.recs = b.recs[:0] }
+func (b *Buffer) Reset() {
+	h := b.held()
+	h.recs = h.recs[:0]
+}

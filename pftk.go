@@ -235,8 +235,9 @@ type SimConfig struct {
 	// retained for a post-mortem dump.
 	flight *FlightRecorder
 	// registry, when set via WithObs, receives the run's metrics: the
-	// sender's live handles and the scenario runner's during the run,
-	// the rest from the connection's counters when it ends.
+	// sender's live handles and the scenario runner's gauges during the
+	// run, the rest from the connection's and the runner's counters when
+	// it ends.
 	registry *obs.Registry
 	// linkStats, when set via WithLinkStats, receives both directions'
 	// final link counters after the run.
@@ -353,8 +354,11 @@ func runSim(c SimConfig) SimResult {
 	conn, runner := buildConn(&c, c.Duration)
 	res := conn.Run(c.Duration)
 	conn.RecordMetrics(c.registry)
-	if runner != nil && c.phaseStats != nil {
-		*c.phaseStats = runner.Finish()
+	if runner != nil {
+		runner.RecordMetrics()
+		if c.phaseStats != nil {
+			*c.phaseStats = runner.Finish()
+		}
 	}
 	if c.linkStats != nil {
 		*c.linkStats = PathStats{
@@ -368,9 +372,12 @@ func runSim(c SimConfig) SimResult {
 // runTransferSim is the finite-transfer execution path (WithTransfer).
 func runTransferSim(c SimConfig) SimResult {
 	deadline := c.transferDeadline
-	conn, _ := buildConn(&c, deadline)
+	conn, runner := buildConn(&c, deadline)
 	res, done := conn.RunUntilComplete(deadline)
 	conn.RecordMetrics(c.registry)
+	if runner != nil {
+		runner.RecordMetrics()
+	}
 	out := SimResult{Result: res, TransferTime: done}
 	out.TransferComplete = done < deadline
 	if c.linkStats != nil {
