@@ -18,6 +18,13 @@
 //
 // Sequence numbers count packets (segments), not bytes, matching the
 // paper's packet-based model.
+//
+// The simulator captures through Buffer, a pre-grown record buffer. A
+// run of many flows on one engine attaches its flows' buffers to a
+// Spool, whose one consumer goroutine makes the appends off the engine
+// goroutine, in producer order, with identical results; a single
+// connection appends directly, since the runs that have many of those
+// already keep every core busy with one connection each.
 package trace
 
 import (
